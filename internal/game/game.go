@@ -14,7 +14,7 @@ package game
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"roia/internal/rtf/entity"
@@ -148,8 +148,21 @@ type userState struct {
 type Game struct {
 	cfg Config
 
+	// attackDamage and npcDamage are the encoded Damage payloads of a hit;
+	// both are constant, so they are encoded once and shared read-only by
+	// every forward.
+	attackDamage, npcDamage []byte
+	// fwds is the scratch the forwards returned by ApplyInput and UpdateNPC
+	// live in: valid until the next such call, by which time the server's
+	// sequential tick has consumed them (Game does not declare
+	// server.ConcurrentSimulator).
+	fwds []server.Forward
+
 	mu     sync.Mutex
 	states map[entity.ID]*userState
+	// events holds each avatar's pending event text. DrainEvents hands the
+	// buffer out and keeps it for the avatar's next events, so steady-state
+	// event queueing allocates nothing.
 	events map[entity.ID][]byte
 }
 
@@ -159,10 +172,44 @@ func New(cfg Config) *Game {
 		cfg = DefaultConfig()
 	}
 	return &Game{
-		cfg:    cfg,
-		states: make(map[entity.ID]*userState),
-		events: make(map[entity.ID][]byte),
+		cfg:          cfg,
+		attackDamage: Commands.EncodeToBytes(&Damage{Amount: cfg.AttackDamage}),
+		npcDamage:    Commands.EncodeToBytes(&Damage{Amount: cfg.NPCDamage}),
+		states:       make(map[entity.ID]*userState),
+		events:       make(map[entity.ID][]byte),
 	}
+}
+
+// errNotInput and errNotForwarded reject well-formed commands sent through
+// the wrong channel.
+var (
+	errNotInput     = errors.New("game: command not valid as user input")
+	errNotForwarded = errors.New("game: command not valid as forwarded input")
+)
+
+// commandError reports an undecodable command payload.
+type commandError struct {
+	what string // "input" or "forwarded input"
+	err  error
+}
+
+func (e *commandError) Error() string { return "game: bad " + e.what + ": " + e.err.Error() }
+func (e *commandError) Unwrap() error { return e.err }
+
+// badCommand builds the error for an undecodable payload. It is off the
+// hot path, so it re-decodes through the Commands registry to report
+// exactly what the registry reports.
+func badCommand(what string, payload []byte) error {
+	_, err := Commands.Decode(payload)
+	return &commandError{what, err}
+}
+
+// readCommand positions r after the kind prefix of a command payload. The
+// commands decode into the caller's stack values through r, never through
+// the Commands registry's interface path, which would move them to the heap.
+func readCommand(r *wire.Reader, payload []byte) wire.Kind {
+	r.Reset(payload)
+	return wire.Kind(r.Uint16())
 }
 
 // Compile-time check: Game implements the RTF application interface.
@@ -182,18 +229,24 @@ func (g *Game) SpawnAvatar(env *server.Env, id entity.ID, pos entity.Vec2, zoneI
 
 // ApplyInput implements server.Application: move and attack commands.
 func (g *Game) ApplyInput(env *server.Env, actor *entity.Entity, payload []byte) ([]server.Forward, error) {
-	msg, err := Commands.Decode(payload)
-	if err != nil {
-		return nil, fmt.Errorf("game: bad input: %w", err)
+	var r wire.Reader
+	switch readCommand(&r, payload) {
+	case KindMove:
+		var mv Move
+		if mv.UnmarshalWire(&r) != nil {
+			return nil, badCommand("input", payload)
+		}
+		return nil, g.applyMove(actor, &mv)
+	case KindAttack:
+		var atk Attack
+		if atk.UnmarshalWire(&r) != nil {
+			return nil, badCommand("input", payload)
+		}
+		return g.applyAttack(env, actor, &atk), nil
+	case KindDamage:
+		return nil, errNotInput
 	}
-	switch cmd := msg.(type) {
-	case *Move:
-		return nil, g.applyMove(actor, cmd)
-	case *Attack:
-		return g.applyAttack(env, actor, cmd), nil
-	default:
-		return nil, errors.New("game: command not valid as user input")
-	}
+	return nil, badCommand("input", payload)
 }
 
 func (g *Game) applyMove(actor *entity.Entity, mv *Move) error {
@@ -231,8 +284,7 @@ func (g *Game) applyAttack(env *server.Env, actor *entity.Entity, atk *Attack) [
 	}
 	nx, ny := atk.DirX/dirLen, atk.DirY/dirLen
 
-	var fwds []server.Forward
-	payload := Commands.EncodeToBytes(&Damage{Amount: g.cfg.AttackDamage})
+	fwds := g.fwds[:0]
 	for _, cand := range env.Store.All() {
 		if cand.ID == actor.ID || cand.Kind != entity.Avatar {
 			continue
@@ -249,8 +301,9 @@ func (g *Game) applyAttack(env *server.Env, actor *entity.Entity, atk *Attack) [
 		if across > g.cfg.AttackWidth {
 			continue
 		}
-		fwds = append(fwds, server.Forward{Target: cand.ID, Payload: payload})
+		fwds = append(fwds, server.Forward{Target: cand.ID, Payload: g.attackDamage})
 	}
+	g.fwds = fwds
 	if len(fwds) > 0 {
 		g.mu.Lock()
 		if st := g.states[actor.ID]; st != nil {
@@ -263,16 +316,20 @@ func (g *Game) applyAttack(env *server.Env, actor *entity.Entity, atk *Attack) [
 
 // ApplyForwarded implements server.Application: damage delivery.
 func (g *Game) ApplyForwarded(env *server.Env, actor entity.ID, target *entity.Entity, payload []byte) error {
-	msg, err := Commands.Decode(payload)
-	if err != nil {
-		return fmt.Errorf("game: bad forwarded input: %w", err)
-	}
-	dmg, ok := msg.(*Damage)
-	if !ok {
-		return errors.New("game: command not valid as forwarded input")
+	var r wire.Reader
+	var dmg Damage
+	switch readCommand(&r, payload) {
+	case KindDamage:
+		if dmg.UnmarshalWire(&r) != nil {
+			return badCommand("forwarded input", payload)
+		}
+	case KindMove, KindAttack:
+		return errNotForwarded
+	default:
+		return badCommand("forwarded input", payload)
 	}
 	target.Health -= dmg.Amount
-	g.queueEvent(target.ID, fmt.Sprintf("hit by %d for %d", actor, dmg.Amount))
+	g.queueHit(target.ID, actor, dmg.Amount)
 	if target.Health <= 0 {
 		// Respawn: reset health, relocate deterministically.
 		target.Health = g.cfg.SpawnHealth
@@ -318,30 +375,47 @@ func (g *Game) UpdateNPC(env *server.Env, npc *entity.Entity) []server.Forward {
 	if victim == nil {
 		return nil
 	}
-	return []server.Forward{{
-		Target:  victim.ID,
-		Payload: Commands.EncodeToBytes(&Damage{Amount: g.cfg.NPCDamage}),
-	}}
+	g.fwds = append(g.fwds[:0], server.Forward{Target: victim.ID, Payload: g.npcDamage})
+	return g.fwds
+}
+
+// queueHit records "hit by <actor> for <amount>" for the victim, formatted
+// straight into the victim's event buffer.
+func (g *Game) queueHit(id, actor entity.ID, amount int32) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	buf := eventSep(g.events[id])
+	buf = append(buf, "hit by "...)
+	buf = strconv.AppendUint(buf, uint64(actor), 10)
+	buf = append(buf, " for "...)
+	g.events[id] = strconv.AppendInt(buf, int64(amount), 10)
 }
 
 func (g *Game) queueEvent(id entity.ID, ev string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	buf := g.events[id]
+	g.events[id] = append(eventSep(g.events[id]), ev...)
+}
+
+// eventSep appends the ';' separating a new event from earlier ones.
+func eventSep(buf []byte) []byte {
 	if len(buf) > 0 {
 		buf = append(buf, ';')
 	}
-	g.events[id] = append(buf, ev...)
+	return buf
 }
 
-// DrainEvents implements server.Application.
+// DrainEvents implements server.Application. The returned bytes are the
+// avatar's event buffer, which the next queued event overwrites: the server
+// encodes them into the state update before any further callback.
 func (g *Game) DrainEvents(env *server.Env, avatar entity.ID) []byte {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	ev := g.events[avatar]
-	if ev != nil {
-		delete(g.events, avatar)
+	if len(ev) == 0 {
+		return nil
 	}
+	g.events[avatar] = ev[:0]
 	return ev
 }
 

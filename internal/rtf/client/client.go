@@ -5,10 +5,11 @@
 package client
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,19 +48,42 @@ type Client struct {
 	avatar     entity.ID
 	joined     bool
 	inputSeq   uint64
-	lastUpdate *proto.StateUpdate
-	world      map[entity.ID]entity.Entity
-	events     [][]byte
 	updates    uint64
 	migrations int
 	w          *wire.Writer
 
+	// world is the client's view, own avatar included, kept strictly
+	// ascending by entity ID: a delta applies by merge-walking its
+	// ascending Updates, Enters and Gone columns against it, with no
+	// hashing.
+	world []entity.Entity
+
+	// last holds the Tick, AckSeq and Self of the most recent applied
+	// update (hasLast reports one exists). When it was a full StateUpdate
+	// (lastFull), full is that update's decoded shell, traded out of the
+	// Poll scratch, and LastUpdate also reports its Visible, Gone and
+	// Events. LastUpdate builds its result from these only when called.
+	last     proto.StateUpdate
+	hasLast  bool
+	lastFull bool
+	full     proto.StateUpdate
+
+	// events accumulates the Events payloads of applied updates; they
+	// alias the received frames, which the transport never reuses.
+	// DrainEvents hands the slice out and refills evSpare, the slice it
+	// handed out the time before.
+	events, evSpare [][]byte
+
+	// in is the send shell for SendInput.
+	in proto.Input
+
 	// Delta-stream state (proto v5, server.Config.DeltaUpdates). A delta
 	// applies only when its BaseTick matches lastTick of a synced client;
-	// anything else — a gap, a duplicate, an unknown entity — flips synced
-	// off and counts a resync, and the client coasts on its last coherent
-	// world until the next keyframe re-anchors it. The client never applies
-	// a delta onto a base it does not hold, so it cannot diverge silently.
+	// anything else — a gap, a duplicate, an unknown entity, columns out of
+	// ascending ID order — flips synced off and counts a resync, and the
+	// client coasts on its last coherent world until the next keyframe
+	// re-anchors it. The client never applies a delta onto a base it does
+	// not hold, so it cannot diverge silently.
 	synced    bool
 	lastTick  uint64
 	resyncs   uint64
@@ -165,11 +189,22 @@ func (c *Client) Migrations() int {
 	return c.migrations
 }
 
-// LastUpdate returns the most recent state update, or nil.
+// LastUpdate returns the most recent state update, or nil. Under delta
+// updates it carries the Tick, AckSeq and Self of the applied keyframe or
+// delta. The result is a fresh copy the caller may keep.
 func (c *Client) LastUpdate() *proto.StateUpdate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lastUpdate
+	if !c.hasLast {
+		return nil
+	}
+	u := c.last
+	if c.lastFull {
+		u.Visible = slices.Clone(c.full.Visible)
+		u.Gone = slices.Clone(c.full.Gone)
+		u.Events = c.full.Events
+	}
+	return &u
 }
 
 // World returns the client's view of nearby entities (everything received
@@ -181,23 +216,25 @@ func (c *Client) World() []entity.Entity {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]entity.Entity, 0, len(c.world))
-	for id, e := range c.world {
-		if id == c.avatar {
-			continue
+	for _, e := range c.world {
+		if e.ID != c.avatar {
+			out = append(out, e)
 		}
-		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // DrainEvents returns and clears the application events accumulated from
-// state updates since the last call.
+// state updates since the last call. The returned slice is reused after
+// the next DrainEvents call; the event payloads themselves stay valid.
 func (c *Client) DrainEvents() [][]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.events) == 0 {
+		return nil
+	}
 	ev := c.events
-	c.events = nil
+	c.events, c.evSpare = c.evSpare[:0], ev
 	return ev
 }
 
@@ -234,7 +271,8 @@ func (c *Client) SendInput(payload []byte) error {
 		c.lost += uint64(drop)
 		c.pending = append(c.pending[:0], c.pending[drop:]...)
 	}
-	return c.sendLocked(&proto.Input{Seq: c.inputSeq, Payload: payload})
+	c.in = proto.Input{Seq: c.inputSeq, Payload: payload}
+	return c.sendLocked(&c.in)
 }
 
 // resolveAckLocked consumes an AckSeq carried by a state update: the
@@ -298,143 +336,72 @@ func (c *Client) sendLocked(msg wire.Message) error {
 	return c.node.Send(c.server, payload)
 }
 
+// pollScratch is everything a Poll decodes into: the drained frames, a
+// reader, one message shell per kind and the merge target of a delta. It
+// is pooled across clients instead of kept per client: shells sized for a
+// crowded view weigh several kilobytes, so at hundreds of clients per
+// process per-client shells would outweigh the world caches themselves,
+// while a pool holds about one scratch per concurrently polling goroutine.
+// Buffers move freely between a scratch and the client it serves (the
+// merged world, the last full update), so every one stays reused.
+type pollScratch struct {
+	frames []transport.Frame
+	r      wire.Reader
+	ack    proto.JoinAck
+	upd    proto.StateUpdate
+	kf     proto.StateKeyframe
+	delta  proto.StateDelta
+	notice proto.MigrateNotice
+	nack   proto.JoinNack
+	spare  []entity.Entity
+}
+
+var pollScratches = sync.Pool{New: func() any { return new(pollScratch) }}
+
 // Poll drains and processes all pending server traffic: join acks update
 // the avatar binding, state updates are retained (the latest wins), and
 // migration notices re-point the client at its new server — the
 // "switching user connections between servers" of Section III-B. It
-// returns the number of state updates processed.
+// returns the number of state updates processed. A steady-state Poll
+// allocates nothing.
 func (c *Client) Poll() int {
-	frames := transport.Drain(c.node, 0)
+	ps := pollScratches.Get().(*pollScratch)
+	defer pollScratches.Put(ps)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ps.frames = transport.DrainInto(c.node, ps.frames[:0], 0)
 	now := c.now()
 	seen := 0
-	for _, f := range frames {
-		if len(f.Payload) < 2 {
+	for i := range ps.frames {
+		payload := ps.frames[i].Payload
+		if len(payload) < 2 {
 			continue
 		}
-		switch wire.Kind(binary.BigEndian.Uint16(f.Payload)) {
+		switch wire.Kind(binary.BigEndian.Uint16(payload)) {
 		case proto.KindJoinAck:
-			msg, err := proto.Registry.Decode(f.Payload)
-			if err != nil {
-				continue
+			if ps.decode(payload, &ps.ack) {
+				c.avatar = ps.ack.Entity
+				c.joined = true
 			}
-			ack := msg.(*proto.JoinAck)
-			c.avatar = ack.Entity
-			c.joined = true
 		case proto.KindStateUpdate:
-			msg, err := proto.Registry.Decode(f.Payload)
-			if err != nil {
-				continue
+			if ps.decode(payload, &ps.upd) {
+				c.applyFull(ps, now)
+				seen++
 			}
-			upd := msg.(*proto.StateUpdate)
-			c.resolveAckLocked(upd.AckSeq, now)
-			c.lastUpdate = upd
-			if c.world == nil {
-				c.world = make(map[entity.ID]entity.Entity, len(upd.Visible)+1)
-			}
-			c.world[upd.Self.ID] = upd.Self
-			for _, e := range upd.Visible {
-				c.world[e.ID] = e
-			}
-			for _, id := range upd.Gone {
-				delete(c.world, id)
-			}
-			if len(upd.Events) > 0 {
-				c.events = append(c.events, upd.Events)
-			}
-			c.updates++
-			seen++
 		case proto.KindStateKeyframe:
-			msg, err := proto.Registry.Decode(f.Payload)
-			if err != nil {
-				continue
+			if ps.decode(payload, &ps.kf) {
+				c.applyKeyframe(&ps.kf, now)
+				seen++
 			}
-			kf := msg.(*proto.StateKeyframe)
-			c.resolveAckLocked(kf.AckSeq, now)
-			// A keyframe is a complete visible set: replace the world
-			// wholesale and re-anchor the delta chain.
-			if c.world == nil {
-				c.world = make(map[entity.ID]entity.Entity, len(kf.Visible)+1)
-			} else {
-				clear(c.world)
-			}
-			c.world[kf.Self.ID] = kf.Self
-			for _, e := range kf.Visible {
-				c.world[e.ID] = e
-			}
-			c.lastTick = kf.Tick
-			c.synced = true
-			c.keyframes++
-			c.lastUpdate = &proto.StateUpdate{Tick: kf.Tick, AckSeq: kf.AckSeq, Self: kf.Self}
-			if len(kf.Events) > 0 {
-				c.events = append(c.events, kf.Events)
-			}
-			c.updates++
-			seen++
 		case proto.KindStateDelta:
-			msg, err := proto.Registry.Decode(f.Payload)
-			if err != nil {
-				continue
+			if ps.decode(payload, &ps.delta) && c.applyDelta(ps, now) {
+				seen++
 			}
-			upd := msg.(*proto.StateDelta)
-			c.resolveAckLocked(upd.AckSeq, now)
-			if !c.synced || upd.BaseTick != c.lastTick {
-				// Base mismatch (dropped, duplicated or reordered frame) or
-				// not yet anchored: count a resync once per loss of sync and
-				// coast until the next keyframe.
-				if c.synced {
-					c.synced = false
-					c.resyncs++
-				}
-				continue
-			}
-			self, ok := c.world[c.avatar]
-			if !ok {
-				c.synced = false
-				c.resyncs++
-				continue
-			}
-			self.ApplyMasked(&upd.Self, upd.SelfMask)
-			c.world[self.ID] = self
-			applied := true
-			for i := range upd.Updates {
-				d := &upd.Updates[i]
-				prev, known := c.world[d.ID]
-				if !known {
-					// Delta against an entity this client never saw: the
-					// stream and our view have diverged — stop applying and
-					// wait for the keyframe rather than guess.
-					c.synced = false
-					c.resyncs++
-					applied = false
-					break
-				}
-				prev.ApplyMasked(&d.State, d.Mask)
-				c.world[d.ID] = prev
-			}
-			if !applied {
-				continue
-			}
-			for _, e := range upd.Enters {
-				c.world[e.ID] = e
-			}
-			for _, id := range upd.Gone {
-				delete(c.world, id)
-			}
-			c.lastTick = upd.Tick
-			c.lastUpdate = &proto.StateUpdate{Tick: upd.Tick, AckSeq: upd.AckSeq, Self: self}
-			if len(upd.Events) > 0 {
-				c.events = append(c.events, upd.Events)
-			}
-			c.updates++
-			seen++
 		case proto.KindMigrateNotice:
-			msg, err := proto.Registry.Decode(f.Payload)
-			if err != nil {
+			if !ps.decode(payload, &ps.notice) {
 				continue
 			}
-			c.server = msg.(*proto.MigrateNotice).NewServer
+			c.server = ps.notice.NewServer
 			c.migrations++
 			// The new server opens its stream with a keyframe; drop the old
 			// server's delta chain so a straggler frame cannot apply.
@@ -445,12 +412,197 @@ func (c *Client) Poll() int {
 				_ = c.sendLocked(c.lastJoin)
 			}
 		case proto.KindJoinNack:
-			if _, err := proto.Registry.Decode(f.Payload); err == nil {
+			if ps.decode(payload, &ps.nack) {
 				c.joinNacks++
 			}
 		}
 	}
+	clear(ps.frames) // drop the payload references the pool would keep
 	return seen
+}
+
+// decode parses payload into the scratch's shell for its kind.
+func (ps *pollScratch) decode(payload []byte, shell wire.Message) bool {
+	return proto.Registry.DecodeInto(&ps.r, payload, shell) == nil
+}
+
+// applyFull applies the full StateUpdate in ps.upd: the avatar and every
+// visible entity are upserted into the world, Gone entities dropped. The
+// update's shell then stays with the client for LastUpdate.
+func (c *Client) applyFull(ps *pollScratch, now time.Time) {
+	upd := &ps.upd
+	c.resolveAckLocked(upd.AckSeq, now)
+	c.upsert(&upd.Self)
+	for i := range upd.Visible {
+		c.upsert(&upd.Visible[i])
+	}
+	for _, id := range upd.Gone {
+		if i, ok := c.find(id); ok {
+			c.world = slices.Delete(c.world, i, i+1)
+		}
+	}
+	c.setLast(upd.Tick, upd.AckSeq, &upd.Self, true)
+	c.appendEvents(upd.Events)
+	ps.upd, c.full = c.full, ps.upd
+}
+
+// applyKeyframe replaces the world wholesale with kf's visible set and
+// re-anchors the delta chain.
+func (c *Client) applyKeyframe(kf *proto.StateKeyframe, now time.Time) {
+	c.resolveAckLocked(kf.AckSeq, now)
+	c.world = c.world[:0]
+	c.upsert(&kf.Self)
+	for i := range kf.Visible {
+		c.upsert(&kf.Visible[i])
+	}
+	c.lastTick = kf.Tick
+	c.synced = true
+	c.keyframes++
+	c.setLast(kf.Tick, kf.AckSeq, &kf.Self, false)
+	c.appendEvents(kf.Events)
+}
+
+// applyDelta applies the StateDelta in ps.delta onto the world when it
+// continues the client's chain, and reports whether it did. The avatar's
+// masked fields apply first; then one merge walk applies Updates in place
+// and, when entities entered or left, a second merges Enters and Gone into
+// the scratch's spare buffer, which becomes the world.
+func (c *Client) applyDelta(ps *pollScratch, now time.Time) bool {
+	d := &ps.delta
+	c.resolveAckLocked(d.AckSeq, now)
+	if !c.synced || d.BaseTick != c.lastTick {
+		// Base mismatch (dropped, duplicated or reordered frame) or not yet
+		// anchored: count a resync once per loss of sync and coast until
+		// the next keyframe.
+		if c.synced {
+			c.desync()
+		}
+		return false
+	}
+	a, ok := c.find(c.avatar)
+	if !ok || !ascendingDelta(d) {
+		c.desync()
+		return false
+	}
+	c.world[a].ApplyMasked(&d.Self, d.SelfMask)
+	self := c.world[a]
+	w := 0
+	for k := range d.Updates {
+		u := &d.Updates[k]
+		for w < len(c.world) && c.world[w].ID < u.ID {
+			w++
+		}
+		if w == len(c.world) || c.world[w].ID != u.ID {
+			// Delta against an entity this client never saw: the stream and
+			// our view have diverged — stop applying and wait for the
+			// keyframe rather than guess.
+			c.desync()
+			return false
+		}
+		c.world[w].ApplyMasked(&u.State, u.Mask)
+	}
+	if len(d.Enters) > 0 || len(d.Gone) > 0 {
+		c.world, ps.spare = mergeWorld(ps.spare[:0], c.world, d.Enters, d.Gone), c.world
+	}
+	c.lastTick = d.Tick
+	c.setLast(d.Tick, d.AckSeq, &self, false)
+	c.appendEvents(d.Events)
+	return true
+}
+
+// desync drops the delta chain and counts a resync.
+func (c *Client) desync() {
+	c.synced = false
+	c.resyncs++
+}
+
+// setLast records an applied update for LastUpdate and counts it.
+func (c *Client) setLast(tick, ack uint64, self *entity.Entity, full bool) {
+	c.last = proto.StateUpdate{Tick: tick, AckSeq: ack, Self: *self}
+	c.hasLast, c.lastFull = true, full
+	c.updates++
+}
+
+func (c *Client) appendEvents(ev []byte) {
+	if len(ev) > 0 {
+		c.events = append(c.events, ev)
+	}
+}
+
+// find binary-searches the world for id, returning its index or the index
+// it would be inserted at.
+func (c *Client) find(id entity.ID) (int, bool) {
+	return slices.BinarySearchFunc(c.world, id, func(e entity.Entity, id entity.ID) int {
+		return cmp.Compare(e.ID, id)
+	})
+}
+
+// upsert inserts e into the world or overwrites the entity with its ID.
+// Ascending input appends.
+func (c *Client) upsert(e *entity.Entity) {
+	if n := len(c.world); n == 0 || c.world[n-1].ID < e.ID {
+		c.world = append(c.world, *e)
+		return
+	}
+	i, ok := c.find(e.ID)
+	if ok {
+		c.world[i] = *e
+		return
+	}
+	c.world = slices.Insert(c.world, i, *e)
+}
+
+// ascendingDelta reports whether a delta's Updates, Enters and Gone are
+// each strictly ascending by ID, as the server encodes them. Decoding
+// cannot guarantee it (an ID gap can wrap around), and the merge walks
+// depend on it.
+func ascendingDelta(d *proto.StateDelta) bool {
+	for i := 1; i < len(d.Updates); i++ {
+		if d.Updates[i].ID <= d.Updates[i-1].ID {
+			return false
+		}
+	}
+	for i := 1; i < len(d.Enters); i++ {
+		if d.Enters[i].ID <= d.Enters[i-1].ID {
+			return false
+		}
+	}
+	for i := 1; i < len(d.Gone); i++ {
+		if d.Gone[i] <= d.Gone[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeWorld appends to dst the ascending merge of world and enters (an
+// entering entity replaces a known one with its ID) minus the IDs in gone.
+// All three inputs are strictly ascending; so is the result.
+func mergeWorld(dst, world, enters []entity.Entity, gone []entity.ID) []entity.Entity {
+	i, e, g := 0, 0, 0
+	for i < len(world) || e < len(enters) {
+		var next *entity.Entity
+		switch {
+		case e == len(enters) || (i < len(world) && world[i].ID < enters[e].ID):
+			next = &world[i]
+			i++
+		case i == len(world) || enters[e].ID < world[i].ID:
+			next = &enters[e]
+			e++
+		default: // same ID: the entering record wins
+			next = &enters[e]
+			i++
+			e++
+		}
+		for g < len(gone) && gone[g] < next.ID {
+			g++
+		}
+		if g < len(gone) && gone[g] == next.ID {
+			continue
+		}
+		dst = append(dst, *next)
+	}
+	return dst
 }
 
 // Close detaches the client from the network.

@@ -2,11 +2,14 @@ package client
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"roia/internal/rtf/entity"
 	"roia/internal/rtf/proto"
 	"roia/internal/rtf/transport"
+	"roia/internal/rtf/wire"
 )
 
 // fakeServer lets tests hand-feed protocol frames to a client.
@@ -149,4 +152,78 @@ func TestLeaveResetsJoined(t *testing.T) {
 	if err := c.SendInput([]byte{1}); !errors.Is(err, ErrNotJoined) {
 		t.Fatal("input accepted after leave")
 	}
+}
+
+// TestConcurrentPollsShareScratch polls many clients from their own
+// goroutines at once. Their Polls draw decode shells and merge buffers from
+// one shared pool, so every client must still end with exactly its own
+// stream's world (run with -race to check the hand-offs).
+func TestConcurrentPollsShareScratch(t *testing.T) {
+	const clients, rounds = 8, 50
+	net := transport.NewLoopback()
+	t.Cleanup(func() { net.Close() })
+	srv, err := net.Attach("srv", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < clients; k++ {
+		id := fmt.Sprintf("cli%d", k)
+		cn, err := net.Attach(id, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(cn, "srv")
+		// Client k sees entities k*1000+1 .. k*1000+4; each round one of
+		// them leaves and re-enters while the others change.
+		base := entity.ID(k * 1000)
+		self := entity.Entity{ID: base, Owner: "srv", Health: 100}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			send := func(m wire.Message) {
+				if err := srv.Send(id, proto.Registry.EncodeToBytes(m)); err != nil {
+					t.Error(err)
+				}
+			}
+			send(&proto.JoinAck{Entity: base})
+			vis := []entity.Entity{{ID: base + 1}, {ID: base + 2}, {ID: base + 3}, {ID: base + 4}}
+			send(&proto.StateKeyframe{Tick: 1, Self: self, Visible: vis})
+			c.Poll()
+			// delta advances the chain one tick: every listed visible
+			// entity but skip gets a new Seq.
+			tick := uint64(1)
+			delta := func(skip entity.ID) *proto.StateDelta {
+				tick++
+				d := &proto.StateDelta{Tick: tick, BaseTick: tick - 1}
+				for _, e := range vis {
+					if e.ID != skip {
+						d.Updates = append(d.Updates, proto.EntityDelta{ID: e.ID, Mask: entity.FieldSeq, State: entity.Entity{Seq: tick}})
+					}
+				}
+				return d
+			}
+			for r := 0; r < rounds; r++ {
+				leaver := base + 1 + entity.ID(r%4)
+				d := delta(leaver)
+				d.Gone = []entity.ID{leaver}
+				send(d)
+				d = delta(leaver)
+				d.Enters = []entity.Entity{{ID: leaver, Seq: tick}}
+				send(d)
+				c.Poll()
+			}
+			world := c.World()
+			if len(world) != 4 || c.Resyncs() != 0 {
+				t.Errorf("client %d: world %+v, resyncs %d", k, world, c.Resyncs())
+				return
+			}
+			for i, e := range world {
+				if want := base + 1 + entity.ID(i); e.ID != want || e.Seq != 2*rounds+1 {
+					t.Errorf("client %d: world[%d] = %+v, want ID %d at seq %d", k, i, e, want, 2*rounds+1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -3,11 +3,14 @@ package client_test
 // FuzzDeltaApply throws hostile delta streams at the client: frames from a
 // recorded real session delivered out of order, duplicated, truncated or
 // replaced with garbage. The client may coast or resync — it must never
-// panic and never diverge silently: after a known-good keyframe its world
-// must equal that keyframe's content exactly, and any rejected delta must
-// be visible in Resyncs.
+// panic and never diverge silently: whenever it reports itself synced its
+// world must equal a map-based reference client fed the same frames, after
+// a known-good keyframe its world must equal that keyframe's content
+// exactly, and any rejected delta must be visible in Resyncs.
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"roia/internal/game"
@@ -20,11 +23,10 @@ import (
 	"roia/internal/rtf/zone"
 )
 
-// recordDeltaSession plays a short two-client session against a real
-// delta-mode server and returns every payload the server sent to the
-// passive observer client, in order (JoinAck first, then a mix of
-// keyframes and deltas while the second client moves through the
-// observer's AoI).
+// recordDeltaSession plays a short session against a real delta-mode
+// server and returns every payload the server sent to the passive observer
+// client, in order (JoinAck first, then a mix of keyframes and deltas while
+// three movers drift inside, enter and leave the observer's AoI).
 func recordDeltaSession(f *testing.F) [][]byte {
 	f.Helper()
 	net := transport.NewLoopback()
@@ -59,20 +61,37 @@ func recordDeltaSession(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 
-	mn, err := net.Attach("m1", 1<<12)
-	if err != nil {
-		f.Fatal(err)
+	// Three movers: one drifting inside the observer's AoI (masked
+	// updates), two crossing it in opposite directions (enters, then gone).
+	movers := []struct {
+		start entity.Vec2
+		step  game.Move
+	}{
+		{entity.Vec2{X: 110, Y: 100}, game.Move{DX: 2, DY: 1}},
+		{entity.Vec2{X: 45, Y: 100}, game.Move{DX: 5}},
+		{entity.Vec2{X: 160, Y: 104}, game.Move{DX: -5}},
 	}
-	mover := client.New(mn, "s1")
-	if err := mover.Join(1, entity.Vec2{X: 110, Y: 100}, "m1"); err != nil {
-		f.Fatal(err)
+	var clients []*client.Client
+	for i, m := range movers {
+		id := "m" + string(rune('1'+i))
+		mn, err := net.Attach(id, 1<<12)
+		if err != nil {
+			f.Fatal(err)
+		}
+		mover := client.New(mn, "s1")
+		if err := mover.Join(1, m.start, id); err != nil {
+			f.Fatal(err)
+		}
+		clients = append(clients, mover)
 	}
 
 	var log [][]byte
-	for tick := 0; tick < 16; tick++ {
+	for tick := 0; tick < 32; tick++ {
 		srv.Tick()
-		mover.Poll()
-		_ = mover.SendInput(game.Commands.EncodeToBytes(&game.Move{DX: 2, DY: 1}))
+		for i, mover := range clients {
+			mover.Poll()
+			_ = mover.SendInput(game.Commands.EncodeToBytes(&movers[i].step))
+		}
 		for _, fr := range transport.Drain(observer, 0) {
 			cp := make([]byte, len(fr.Payload))
 			copy(cp, fr.Payload)
@@ -85,6 +104,81 @@ func recordDeltaSession(f *testing.F) [][]byte {
 	return log
 }
 
+// refClient is the reference model of the client's world: the map the
+// client kept before its world became an ID-sorted slice, applying every
+// frame by hashing with no ordering assumptions.
+type refClient struct {
+	avatar entity.ID
+	synced bool
+	last   uint64
+	world  map[entity.ID]entity.Entity
+}
+
+func (r *refClient) apply(payload []byte) {
+	msg, err := proto.Registry.Decode(payload)
+	if err != nil {
+		return
+	}
+	switch m := msg.(type) {
+	case *proto.JoinAck:
+		r.avatar = m.Entity
+	case *proto.StateUpdate:
+		r.world[m.Self.ID] = m.Self
+		for _, e := range m.Visible {
+			r.world[e.ID] = e
+		}
+		for _, id := range m.Gone {
+			delete(r.world, id)
+		}
+	case *proto.StateKeyframe:
+		clear(r.world)
+		r.world[m.Self.ID] = m.Self
+		for _, e := range m.Visible {
+			r.world[e.ID] = e
+		}
+		r.last, r.synced = m.Tick, true
+	case *proto.StateDelta:
+		self, ok := r.world[r.avatar]
+		if !r.synced || m.BaseTick != r.last || !ok {
+			r.synced = false
+			return
+		}
+		self.ApplyMasked(&m.Self, m.SelfMask)
+		r.world[self.ID] = self
+		for _, u := range m.Updates {
+			prev, ok := r.world[u.ID]
+			if !ok {
+				r.synced = false
+				return
+			}
+			prev.ApplyMasked(&u.State, u.Mask)
+			r.world[u.ID] = prev
+		}
+		for _, e := range m.Enters {
+			r.world[e.ID] = e
+		}
+		for _, id := range m.Gone {
+			delete(r.world, id)
+		}
+		r.last = m.Tick
+	case *proto.MigrateNotice:
+		r.synced = false
+	}
+}
+
+// view is the reference world as Client.World reports it: ID order, own
+// avatar excluded.
+func (r *refClient) view() []entity.Entity {
+	out := make([]entity.Entity, 0, len(r.world))
+	for id, e := range r.world {
+		if id != r.avatar {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b entity.Entity) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
 func FuzzDeltaApply(f *testing.F) {
 	log := recordDeltaSession(f)
 
@@ -95,6 +189,12 @@ func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte{2, 1, 2, 2, 2, 3, 2, 200})             // truncations
 	f.Add([]byte{0, 0, 9, 0, 1, 0, 250, 9, 250, 13})    // skips + garbage
 	f.Add([]byte{0, 0, 255, 255, 254, 7, 253, 0, 6, 0}) // garbage mixed in
+	// The whole session in order: masked updates, enters and leaves.
+	var whole []byte
+	for i := range log {
+		whole = append(whole, byte(i), 0)
+	}
+	f.Add(whole)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net := transport.NewLoopback()
@@ -108,12 +208,20 @@ func FuzzDeltaApply(f *testing.F) {
 			t.Fatal(err)
 		}
 		cl := client.New(cn, "s1")
+		ref := &refClient{world: map[entity.ID]entity.Entity{}}
 		deliver := func(payload []byte) {
 			if err := src.Send("c1", payload); err != nil {
 				t.Fatal(err)
 			}
 			cl.Poll()
 			transport.Drain(src, 0) // discard anything the client sent back
+			ref.apply(payload)
+			if !cl.Synced() {
+				return
+			}
+			if got, want := cl.World(), ref.view(); !slices.Equal(got, want) {
+				t.Fatalf("synced client world diverged from the map reference:\ngot  %+v\nwant %+v", got, want)
+			}
 		}
 
 		// The recorded log starts with the JoinAck; anchor the avatar

@@ -115,6 +115,11 @@ func (e *Entity) Clone() *Entity {
 	return &c
 }
 
+// MinWireSize is the smallest MarshalWire encoding of an Entity: fixed-width
+// ID, kind, position, zone and seq, a one-byte health varint and an empty
+// owner. Decoders bound declared entity counts by it.
+const MinWireSize = 8 + 1 + 16 + 1 + 4 + 1 + 8
+
 // MarshalWire serializes the entity's replicated fields.
 func (e *Entity) MarshalWire(w *wire.Writer) {
 	w.Uint64(uint64(e.ID))
@@ -127,7 +132,9 @@ func (e *Entity) MarshalWire(w *wire.Writer) {
 	w.Uint64(e.Seq)
 }
 
-// UnmarshalWire parses the entity's replicated fields.
+// UnmarshalWire parses the entity's replicated fields. Every field is
+// overwritten; the previous Owner is kept (not reallocated) when the bytes
+// match it.
 func (e *Entity) UnmarshalWire(r *wire.Reader) error {
 	e.ID = ID(r.Uint64())
 	e.Kind = Kind(r.Uint8())
@@ -135,7 +142,7 @@ func (e *Entity) UnmarshalWire(r *wire.Reader) error {
 	e.Pos.Y = r.Float64()
 	e.Health = int32(r.Varint())
 	e.Zone = r.Uint32()
-	e.Owner = r.String()
+	e.Owner = r.StringReuse(e.Owner)
 	e.Seq = r.Uint64()
 	return r.Err()
 }

@@ -15,6 +15,23 @@ type EntityDelta struct {
 	State entity.Entity
 }
 
+// minDeltaSize is the smallest encoding of one EntityDelta: a one-byte ID
+// gap and the mask byte.
+const minDeltaSize = 2
+
+// unmarshalMasked decodes the masked field groups of a delta record into e
+// and zeroes the rest, so a reused record holds exactly what a fresh one
+// would. The previous owner survives only as the reuse hint for a masked
+// owner string.
+func unmarshalMasked(r *wire.Reader, e *entity.Entity, mask entity.FieldMask) error {
+	owner := ""
+	if mask&entity.FieldOwner != 0 {
+		owner = e.Owner
+	}
+	*e = entity.Entity{Owner: owner}
+	return e.UnmarshalDelta(r, mask)
+}
+
 // StateDelta is the per-tick incremental state update of protocol v5: the
 // difference between the client's visible world at BaseTick (the previous
 // update it applied) and at Tick. A client that missed the base — joins,
@@ -84,48 +101,29 @@ func (m *StateDelta) UnmarshalWire(r *wire.Reader) error {
 	m.BaseTick = m.Tick - r.Uvarint()
 	m.AckSeq = r.Uvarint()
 	m.SelfMask = entity.FieldMask(r.Uint8())
-	if err := m.Self.UnmarshalDelta(r, m.SelfMask); err != nil {
+	if err := unmarshalMasked(r, &m.Self, m.SelfMask); err != nil {
 		return err
 	}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > uint64(r.Remaining()) { // each update needs >1 byte
-		return wire.ErrStringTooLong
-	}
-	m.Updates = make([]EntityDelta, n)
+	// Each column is followed by the remaining columns' counts and the
+	// Events length, one byte each at least.
+	m.Updates = refill(m.Updates, r.Count(minDeltaSize, 3))
 	prev := uint64(0)
 	for i := range m.Updates {
 		u := &m.Updates[i]
 		prev += r.Uvarint()
 		u.ID = entity.ID(prev)
 		u.Mask = entity.FieldMask(r.Uint8())
-		if err := u.State.UnmarshalDelta(r, u.Mask); err != nil {
+		if err := unmarshalMasked(r, &u.State, u.Mask); err != nil {
 			return err
 		}
 	}
-	e := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if e > uint64(r.Remaining()) {
-		return wire.ErrStringTooLong
-	}
-	m.Enters = make([]entity.Entity, e)
+	m.Enters = refill(m.Enters, r.Count(entity.MinWireSize, 2))
 	for i := range m.Enters {
 		if err := m.Enters[i].UnmarshalWire(r); err != nil {
 			return err
 		}
 	}
-	g := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if g > uint64(r.Remaining()) {
-		return wire.ErrStringTooLong
-	}
-	m.Gone = make([]entity.ID, g)
+	m.Gone = refill(m.Gone, r.Count(1, 1))
 	prev = 0
 	for i := range m.Gone {
 		prev += r.Uvarint()
@@ -176,14 +174,7 @@ func (m *StateKeyframe) UnmarshalWire(r *wire.Reader) error {
 	if err := m.Self.UnmarshalWire(r); err != nil {
 		return err
 	}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > uint64(r.Remaining()) { // each entity needs >1 byte
-		return wire.ErrStringTooLong
-	}
-	m.Visible = make([]entity.Entity, n)
+	m.Visible = refill(m.Visible, r.Count(entity.MinWireSize, 1))
 	for i := range m.Visible {
 		if err := m.Visible[i].UnmarshalWire(r); err != nil {
 			return err

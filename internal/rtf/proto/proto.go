@@ -7,6 +7,8 @@
 package proto
 
 import (
+	"slices"
+
 	"roia/internal/rtf/entity"
 	"roia/internal/rtf/wire"
 )
@@ -60,6 +62,12 @@ var Registry = wire.NewRegistry(
 	func() wire.Message { return &StateKeyframe{} },
 )
 
+// refill returns s resized to n elements within its retained capacity,
+// allocating only when the capacity is short. Elements that survive from an
+// earlier decode keep their old contents until overwritten; unmarshalers
+// overwrite every field they read (stale strings serve as reuse hints).
+func refill[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // Join is sent by a client to enter a zone.
 type Join struct {
 	// UserName is a display name; the network node ID identifies the user.
@@ -83,7 +91,7 @@ func (m *Join) MarshalWire(w *wire.Writer) {
 
 // UnmarshalWire implements wire.Message.
 func (m *Join) UnmarshalWire(r *wire.Reader) error {
-	m.UserName = r.String()
+	m.UserName = r.StringReuse(m.UserName)
 	m.Zone = r.Uint32()
 	m.Pos.X = r.Float64()
 	m.Pos.Y = r.Float64()
@@ -199,27 +207,15 @@ func (m *StateUpdate) UnmarshalWire(r *wire.Reader) error {
 	if err := m.Self.UnmarshalWire(r); err != nil {
 		return err
 	}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > uint64(r.Remaining()) { // each entity needs >1 byte
-		return wire.ErrStringTooLong
-	}
-	m.Visible = make([]entity.Entity, n)
+	// Visible is followed by Gone's count and the Events length, Gone by
+	// the Events length.
+	m.Visible = refill(m.Visible, r.Count(entity.MinWireSize, 2))
 	for i := range m.Visible {
 		if err := m.Visible[i].UnmarshalWire(r); err != nil {
 			return err
 		}
 	}
-	g := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if g > uint64(r.Remaining()) {
-		return wire.ErrStringTooLong
-	}
-	m.Gone = make([]entity.ID, g)
+	m.Gone = refill(m.Gone, r.Count(8, 1))
 	for i := range m.Gone {
 		m.Gone[i] = entity.ID(r.Uint64())
 	}
@@ -257,27 +253,13 @@ func (m *ShadowUpdate) MarshalWire(w *wire.Writer) {
 // UnmarshalWire implements wire.Message.
 func (m *ShadowUpdate) UnmarshalWire(r *wire.Reader) error {
 	m.Tick = r.Uint64()
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > uint64(r.Remaining()) {
-		return wire.ErrStringTooLong
-	}
-	m.Entities = make([]entity.Entity, n)
+	m.Entities = refill(m.Entities, r.Count(entity.MinWireSize, 1))
 	for i := range m.Entities {
 		if err := m.Entities[i].UnmarshalWire(r); err != nil {
 			return err
 		}
 	}
-	k := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if k > uint64(r.Remaining()) {
-		return wire.ErrStringTooLong
-	}
-	m.Removed = make([]entity.ID, k)
+	m.Removed = refill(m.Removed, r.Count(8, 0))
 	for i := range m.Removed {
 		m.Removed[i] = entity.ID(r.Uint64())
 	}
@@ -345,7 +327,7 @@ func (m *MigrateInit) MarshalWire(w *wire.Writer) {
 // UnmarshalWire implements wire.Message.
 func (m *MigrateInit) UnmarshalWire(r *wire.Reader) error {
 	m.MigID = r.Uint64()
-	m.User = r.String()
+	m.User = r.StringReuse(m.User)
 	if err := m.Avatar.UnmarshalWire(r); err != nil {
 		return err
 	}
@@ -374,7 +356,7 @@ func (m *MigrateAck) MarshalWire(w *wire.Writer) {
 // UnmarshalWire implements wire.Message.
 func (m *MigrateAck) UnmarshalWire(r *wire.Reader) error {
 	m.MigID = r.Uint64()
-	m.User = r.String()
+	m.User = r.StringReuse(m.User)
 	m.Avatar = entity.ID(r.Uint64())
 	return r.Err()
 }
@@ -393,7 +375,7 @@ func (m *MigrateNotice) MarshalWire(w *wire.Writer) { w.String(m.NewServer) }
 
 // UnmarshalWire implements wire.Message.
 func (m *MigrateNotice) UnmarshalWire(r *wire.Reader) error {
-	m.NewServer = r.String()
+	m.NewServer = r.StringReuse(m.NewServer)
 	return r.Err()
 }
 
@@ -414,6 +396,6 @@ func (m *JoinNack) MarshalWire(w *wire.Writer) { w.String(m.Reason) }
 
 // UnmarshalWire implements wire.Message.
 func (m *JoinNack) UnmarshalWire(r *wire.Reader) error {
-	m.Reason = r.String()
+	m.Reason = r.StringReuse(m.Reason)
 	return r.Err()
 }

@@ -22,7 +22,9 @@ type Application interface {
 	// state. Interactions that target entities active on other replicas
 	// are returned as forwards; RTF routes them to the responsible server
 	// (the "forwarded inputs" of the model). Invalid inputs return an
-	// error and are dropped.
+	// error and are dropped. The server consumes the forwards before its
+	// next call into the application, so they may live in a buffer the
+	// application reuses; payload is valid only during the call.
 	ApplyInput(env *Env, actor *entity.Entity, payload []byte) ([]Forward, error)
 
 	// ApplyForwarded applies an interaction forwarded from another replica
@@ -34,12 +36,15 @@ type Application interface {
 	// inputs, NPC behaviour may produce interactions with entities active
 	// on other replicas; they are returned as forwards. The model's
 	// t_npc(n, m) covers exactly this: "calculating interactions between
-	// NPCs and users".
+	// NPCs and users". As with ApplyInput, the forwards may live in a
+	// reused buffer — except under ConcurrentSimulator, where the server
+	// keeps every NPC's forwards until all updates have run.
 	UpdateNPC(env *Env, npc *entity.Entity) []Forward
 
 	// DrainEvents returns and clears the application events pending for
 	// the user owning the given avatar (delivered in the Events field of
-	// the next state update).
+	// the next state update). The server encodes the bytes before the next
+	// tick's callbacks, so the application may reuse the buffer after that.
 	DrainEvents(env *Env, avatar entity.ID) []byte
 
 	// EncodeUserState serializes the application-specific state attached

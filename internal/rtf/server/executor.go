@@ -18,6 +18,7 @@ import (
 // belongs to during a run, and by the tick goroutine between runs.
 type workerCtx struct {
 	w   *wire.Writer
+	r   wire.Reader // decode-stage reader, reset per frame
 	vis []entity.ID
 
 	updates []proto.EntityDelta

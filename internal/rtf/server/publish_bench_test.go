@@ -22,12 +22,16 @@ import (
 // sinkNode is a transport.Node that counts and discards everything sent
 // through it. Its inbox is fed directly by the benchmark setup (joins) and
 // is empty in steady state. It implements transport.BatchSender so the
-// server's outbox takes the vectored-write path.
+// server's outbox takes the vectored-write path. With digest set, sum
+// folds every sent payload into an FNV-1a hash, so two runs' byte streams
+// can be compared.
 type sinkNode struct {
 	id     string
 	in     chan transport.Frame
 	frames int64
 	bytes  int64
+	digest bool
+	sum    uint64
 }
 
 func newSinkNode(id string, depth int) *sinkNode {
@@ -39,6 +43,7 @@ func (n *sinkNode) ID() string { return n.id }
 func (n *sinkNode) Send(to string, payload []byte) error {
 	n.frames++
 	n.bytes += int64(len(payload))
+	n.fold(payload)
 	return nil
 }
 
@@ -46,8 +51,21 @@ func (n *sinkNode) SendBatch(to string, payloads [][]byte) error {
 	n.frames += int64(len(payloads))
 	for _, p := range payloads {
 		n.bytes += int64(len(p))
+		n.fold(p)
 	}
 	return nil
+}
+
+func (n *sinkNode) fold(payload []byte) {
+	if !n.digest {
+		return
+	}
+	if n.sum == 0 {
+		n.sum = 14695981039346656037 // FNV-1a offset basis
+	}
+	for _, b := range payload {
+		n.sum = (n.sum ^ uint64(b)) * 1099511628211
+	}
 }
 
 func (n *sinkNode) Inbox() <-chan transport.Frame { return n.in }

@@ -205,7 +205,7 @@ type Server struct {
 	// Reusable per-tick stage buffers (tick goroutine only): decoded-frame
 	// slots, applied inputs, forwarded inputs, removed entities, the NPC
 	// active set and result slots, the publish items and their snapshot,
-	// sorted user IDs, peer replicas, and the shadow-update entity scratch.
+	// sorted user IDs and peer replicas.
 	decBuf     []decodedFrame
 	inputsBuf  []decodedInput
 	fwdBuf     []*proto.Forwarded
@@ -217,7 +217,13 @@ type Server struct {
 	pubWorld   []*entity.Entity
 	uidBuf     []string
 	peersBuf   []string
-	suEnts     []entity.Entity
+	// fwdOut and suOut are the message shells for forwarded interactions
+	// and shadow updates sent to peers; suOut keeps its entity capacity.
+	// suIn holds the shells incoming shadow updates decode into, one per
+	// shadow update a tick has received (see decodedFrame).
+	fwdOut proto.Forwarded
+	suOut  proto.ShadowUpdate
+	suIn   []*proto.ShadowUpdate
 }
 
 // New assembles a server from the configuration. The server is inert until
@@ -467,6 +473,13 @@ func (s *Server) allocMigIDLocked() uint64 {
 // tick's update.
 func (s *Server) send(to string, msg wire.Message) {
 	s.sendRaw(to, proto.Registry.Encode(s.w, msg))
+}
+
+// forward sends one interaction to the replica owning its target, encoded
+// through the server's reused Forwarded shell (tick goroutine only).
+func (s *Server) forward(owner string, actor entity.ID, fw Forward) {
+	s.fwdOut = proto.Forwarded{Actor: actor, Target: fw.Target, Payload: fw.Payload}
+	s.send(owner, &s.fwdOut)
 }
 
 // sendRaw stages an already-encoded payload in the tick's outbox — the

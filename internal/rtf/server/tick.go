@@ -22,14 +22,26 @@ type decodedInput struct {
 	msg  *proto.Input
 }
 
-// decodedFrame is one slot of the decode stage: the pre-decoded message for
-// a frame (nil on decode error or for kinds decoded inline by the apply
-// stage) plus its deserialization accounting, merged into the Breakdown in
-// frame order by the apply stage.
+// decodedFrame is one slot of the decode stage: the frame's message
+// decoded into a reused shell of its kind (ok is false on a decode error
+// and for kinds decoded inline by the apply stage) plus its
+// deserialization accounting, merged into the Breakdown in frame order by
+// the apply stage. Slots live in the server's decBuf and keep their shells
+// across ticks, so steady-state decoding allocates nothing; a decoded
+// message is valid until the tick ends (its byte fields alias the frame
+// payload, its entity slices the shell).
 type decodedFrame struct {
-	msg   wire.Message
+	ok    bool
 	ms    float64
 	items int
+
+	in  proto.Input
+	fwd proto.Forwarded
+	// su is the shell for a shadow update frame, assigned before the
+	// fan-out from the server's suIn by arrival rank, not owned per slot:
+	// a shadow update carries every entity a peer owns, and per-slot
+	// shells would each grow to that size wherever one ever landed.
+	su *proto.ShadowUpdate
 }
 
 // npcResult is one slot of the NPC compute phase under the
@@ -108,16 +120,27 @@ func (s *Server) Tick() {
 	// capacity serves this tick without reallocating.
 	frames := transport.DrainInto(s.cfg.Node, s.frameBuf[:0], 0)
 	s.frameBuf = frames
-	for _, f := range frames {
+	if cap(s.decBuf) < len(frames) {
+		grown := make([]decodedFrame, len(frames))
+		copy(grown, s.decBuf[:cap(s.decBuf)]) // keep the slots' shells
+		s.decBuf = grown
+	}
+	dec := s.decBuf[:len(frames)]
+	shadows := 0
+	for i, f := range frames {
 		// Framed wire bytes (header + payload): what the transport's peer
 		// actually wrote, matching the BytesOut convention in sendRaw.
 		br.BytesIn += transport.FrameWireBytes(f.From, s.ID(), len(f.Payload))
+		d := &dec[i]
+		d.ok, d.ms, d.items, d.su = false, 0, 0, nil
+		if len(f.Payload) >= 2 && wire.Kind(binary.BigEndian.Uint16(f.Payload)) == proto.KindShadowUpdate {
+			if shadows == len(s.suIn) {
+				s.suIn = append(s.suIn, new(proto.ShadowUpdate))
+			}
+			d.su = s.suIn[shadows]
+			shadows++
+		}
 	}
-	if cap(s.decBuf) < len(frames) {
-		s.decBuf = make([]decodedFrame, len(frames))
-	}
-	dec := s.decBuf[:len(frames)]
-	clear(dec)
 	//roialint:ignore lockhold the pool's wake channels are buffered and drained by the previous run's wg.Wait, so the send never blocks; workers never take s.mu
 	s.exec.run(len(frames), s.decodeFn)
 	if cost != nil {
@@ -136,14 +159,14 @@ func (s *Server) Tick() {
 		case proto.KindInput:
 			d := &dec[i]
 			br.Add(monitor.UADeser, d.ms, d.items)
-			if d.msg != nil {
-				inputs = append(inputs, decodedInput{from: f.From, msg: d.msg.(*proto.Input)})
+			if d.ok {
+				inputs = append(inputs, decodedInput{from: f.From, msg: &d.in})
 			}
 		case proto.KindForwarded:
 			d := &dec[i]
 			br.Add(monitor.FADeser, d.ms, d.items)
-			if d.msg != nil {
-				forwards = append(forwards, d.msg.(*proto.Forwarded))
+			if d.ok {
+				forwards = append(forwards, &d.fwd)
 			}
 		case proto.KindShadowUpdate:
 			// Per-shadow-entity replication traffic: the model charges
@@ -152,10 +175,10 @@ func (s *Server) Tick() {
 			// message's per-entity work.
 			d := &dec[i]
 			br.Add(monitor.FADeser, d.ms, d.items)
-			if d.msg == nil {
+			if !d.ok {
 				continue
 			}
-			su := d.msg.(*proto.ShadowUpdate)
+			su := d.su
 			t1 := s.exec.now()
 			for i := range su.Entities {
 				s.store.ApplyShadowUpdate(s.ID(), &su.Entities[i])
@@ -241,7 +264,7 @@ func (s *Server) Tick() {
 				}
 				br.Add(monitor.UA, s.exec.since(t1), 0)
 			} else {
-				s.send(target.Owner, &proto.Forwarded{Actor: actor.ID, Target: fw.Target, Payload: fw.Payload})
+				s.forward(target.Owner, actor.ID, fw)
 			}
 		}
 	}
@@ -391,8 +414,8 @@ func (s *Server) Tick() {
 	if len(peers) > 0 {
 		actives := s.store.ActiveInto(s.npcActive[:0], s.ID(), -1)
 		s.npcActive = actives[:0]
-		su := proto.ShadowUpdate{Tick: s.tick, Removed: removed}
-		su.Entities = s.suEnts[:0]
+		su := &s.suOut
+		su.Tick, su.Removed, su.Entities = s.tick, removed, su.Entities[:0]
 		for _, e := range actives {
 			su.Entities = append(su.Entities, *e)
 		}
@@ -404,9 +427,8 @@ func (s *Server) Tick() {
 			}
 		}
 		for _, p := range peers {
-			s.send(p, &su)
+			s.send(p, su)
 		}
-		s.suEnts = su.Entities[:0]
 	}
 	s.handoffs = s.handoffs[:0]
 	s.removedBuf = removed[:0]
@@ -528,30 +550,34 @@ func (s *Server) recordTrace(start time.Time, br *monitor.Breakdown) {
 
 // decodeItem is the decode-stage body (executor slot discipline: frame i
 // in, decBuf slot i out). Deserialization is side-effect-free, so it runs
-// on any worker; the apply stage merges the slot accounting in frame order.
-func (s *Server) decodeItem(i int, _ *workerCtx) {
+// on any worker, through the worker's own reader into the slot's own
+// shells; the apply stage merges the slot accounting in frame order.
+func (s *Server) decodeItem(i int, ctx *workerCtx) {
 	f := s.frameBuf[i]
 	if len(f.Payload) < 2 {
 		return
 	}
 	d := &s.decBuf[i]
-	switch wire.Kind(binary.BigEndian.Uint16(f.Payload)) {
-	case proto.KindInput, proto.KindForwarded:
-		t0 := s.exec.now()
-		msg, err := proto.Registry.Decode(f.Payload)
-		d.ms = s.exec.since(t0)
-		d.items = 1
-		if err == nil {
-			d.msg = msg
-		}
+	var shell wire.Message
+	kind := wire.Kind(binary.BigEndian.Uint16(f.Payload))
+	switch kind {
+	case proto.KindInput:
+		shell = &d.in
+	case proto.KindForwarded:
+		shell = &d.fwd
 	case proto.KindShadowUpdate:
-		t0 := s.exec.now()
-		msg, err := proto.Registry.Decode(f.Payload)
-		d.ms = s.exec.since(t0)
-		if err == nil {
-			d.msg = msg
-			d.items = len(msg.(*proto.ShadowUpdate).Entities)
-		}
+		shell = d.su
+	default:
+		return
+	}
+	t0 := s.exec.now()
+	d.ok = proto.Registry.DecodeInto(&ctx.r, f.Payload, shell) == nil
+	d.ms = s.exec.since(t0)
+	switch {
+	case kind != proto.KindShadowUpdate:
+		d.items = 1
+	case d.ok:
+		d.items = len(d.su.Entities)
 	}
 }
 
@@ -689,7 +715,7 @@ func (s *Server) applyNPCForwards(npc *entity.Entity, fwds []Forward) {
 				target.Seq++
 			}
 		} else {
-			s.send(target.Owner, &proto.Forwarded{Actor: npc.ID, Target: fw.Target, Payload: fw.Payload})
+			s.forward(target.Owner, npc.ID, fw)
 		}
 	}
 }

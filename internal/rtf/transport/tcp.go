@@ -146,6 +146,8 @@ func (n *tcpNode) readLoop(conn net.Conn) {
 	}()
 	adopted := false
 	var lenBuf [4]byte
+	var r wire.Reader
+	var from, to string // the previous frame's, reused while they repeat
 	for {
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 			return
@@ -158,8 +160,10 @@ func (n *tcpNode) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(conn, body); err != nil {
 			return
 		}
-		r := wire.NewReader(body)
-		frame := Frame{From: r.String(), To: r.String(), Payload: r.Blob()}
+		// The frame's payload aliases body, which no later read reuses.
+		r.Reset(body)
+		from, to = r.StringReuse(from), r.StringReuse(to)
+		frame := Frame{From: from, To: to, Payload: r.Blob()}
 		if r.Err() != nil {
 			return
 		}

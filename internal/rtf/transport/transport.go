@@ -22,7 +22,9 @@ import (
 type Frame struct {
 	// From and To are node IDs (e.g. "server-1", "client-42").
 	From, To string
-	// Payload is an opaque wire-encoded message body.
+	// Payload is an opaque wire-encoded message body. It belongs to the
+	// receiver: transports never reuse a delivered payload's memory, so
+	// messages decoded from it may alias it for as long as they live.
 	Payload []byte
 }
 

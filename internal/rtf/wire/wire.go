@@ -95,7 +95,9 @@ func (w *Writer) Blob(b []byte) {
 // Reader deserializes values from a byte slice. Errors are sticky: after
 // the first failure every subsequent read returns the zero value, and Err
 // reports the original failure. This keeps message UnmarshalWire methods
-// free of per-field error plumbing.
+// free of per-field error plumbing. The zero value reads an empty payload;
+// Reset points it at the next one, so one Reader serves a whole receive
+// loop without allocating.
 type Reader struct {
 	buf []byte
 	pos int
@@ -104,6 +106,10 @@ type Reader struct {
 
 // NewReader returns a reader over payload. The payload is not copied.
 func NewReader(payload []byte) *Reader { return &Reader{buf: payload} }
+
+// Reset discards the reader's state and points it at payload, which is not
+// copied.
+func (r *Reader) Reset(payload []byte) { *r = Reader{buf: payload} }
 
 // Err reports the first error encountered, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -204,20 +210,34 @@ func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 func (r *Reader) Float32() float32 { return math.Float32frombits(r.Uint32()) }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
+func (r *Reader) String() string { return string(r.bytes()) }
+
+// StringReuse reads a length-prefixed string like String, but returns old
+// itself when the bytes equal it. Decoding into a reused message passes the
+// field's previous value, so a string that repeats frame after frame (an
+// entity's owner, a peer's node ID) is not allocated again.
+func (r *Reader) StringReuse(old string) string {
+	b := r.bytes()
+	if string(b) == old { // the comparison does not allocate
+		return old
 	}
-	if n > uint64(r.Remaining()) {
-		r.fail(ErrStringTooLong)
-		return ""
-	}
-	return string(r.take(int(n)))
+	return string(b)
 }
 
-// Blob reads a length-prefixed byte slice. The returned slice is a copy.
+// Blob reads a length-prefixed byte slice without copying it: the result
+// aliases the payload (capacity clipped, so appending to it cannot write
+// into the payload) and stays valid as long as the payload is unmodified.
+// An empty blob reads as nil.
 func (r *Reader) Blob() []byte {
+	b := r.bytes()
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
+}
+
+// bytes reads a length-prefixed byte run, aliasing the payload.
+func (r *Reader) bytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil
@@ -226,11 +246,26 @@ func (r *Reader) Blob() []byte {
 		r.fail(ErrStringTooLong)
 		return nil
 	}
-	b := r.take(int(n))
-	if b == nil {
-		return nil
+	return r.take(int(n))
+}
+
+// Count reads an element count for a sequence whose elements each encode
+// to at least minSize bytes and after which at least after more bytes of
+// the message must follow. It fails with ErrStringTooLong when that many
+// elements cannot fit in the remaining payload. Bounding by the elements'
+// real minimum size (not by one byte each) keeps a hostile count from
+// making the decoder allocate many times the frame's size before the frame
+// runs out. It returns 0 after any error.
+func (r *Reader) Count(minSize, after int) int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
 	}
-	return append([]byte(nil), b...)
+	if n > uint64(max(r.Remaining()-after, 0)/minSize) {
+		r.fail(ErrStringTooLong)
+		return 0
+	}
+	return int(n)
 }
 
 // Kind identifies a registered message type on the wire.
@@ -285,19 +320,72 @@ func (reg *Registry) EncodeToBytes(msg Message) []byte {
 }
 
 // Decode parses a payload produced by Encode into a new message instance.
+// Byte-slice fields of the result alias payload (see DecodeInto).
 func (reg *Registry) Decode(payload []byte) (Message, error) {
-	r := NewReader(payload)
-	kind := Kind(r.Uint16())
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("wire: decode kind: %w", err)
+	if len(payload) < 2 {
+		return nil, &DecodeError{Err: ErrShortBuffer}
 	}
+	kind := Kind(binary.BigEndian.Uint16(payload))
 	f, ok := reg.factories[kind]
 	if !ok {
-		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
+		return nil, &DecodeError{Kind: kind}
 	}
 	msg := f()
-	if err := msg.UnmarshalWire(r); err != nil {
-		return nil, fmt.Errorf("wire: decode kind %d: %w", kind, err)
+	if err := reg.DecodeInto(new(Reader), payload, msg); err != nil {
+		return nil, err
 	}
 	return msg, nil
 }
+
+// DecodeInto parses a payload produced by Encode into shell, a message of
+// the payload's kind that the caller owns and reuses frame after frame. r
+// is reset over payload; a long-lived Reader avoids allocating one per
+// frame. Unmarshalers refill the shell's slices within their retained
+// capacity, so in steady state decoding allocates nothing. After a
+// successful call:
+//
+//   - byte-slice fields (payloads, events) alias payload and stay valid as
+//     long as the payload is unmodified;
+//   - slice fields of structured elements alias the shell's own buffers
+//     and stay valid until the next DecodeInto into the same shell;
+//   - strings are immutable copies (or the shell's previous string, kept
+//     when the bytes match).
+//
+// On error the shell's contents are unspecified.
+func (reg *Registry) DecodeInto(r *Reader, payload []byte, shell Message) error {
+	r.Reset(payload)
+	kind := Kind(r.Uint16())
+	if err := r.Err(); err != nil {
+		return &DecodeError{Err: err}
+	}
+	if want := shell.WireKind(); kind != want {
+		return &DecodeError{Kind: kind, Want: want}
+	}
+	if err := shell.UnmarshalWire(r); err != nil {
+		return &DecodeError{Kind: kind, Err: err}
+	}
+	return nil
+}
+
+// DecodeError reports a payload that could not be decoded: of a kind other
+// than the shell's (Want set), of an unknown kind (Err nil), without a
+// readable kind (Kind zero) or with a malformed body. It unwraps to Err.
+type DecodeError struct {
+	Kind, Want Kind
+	Err        error
+}
+
+func (e *DecodeError) Error() string {
+	switch {
+	case e.Want != 0:
+		return fmt.Sprintf("wire: message kind %d, want %d", e.Kind, e.Want)
+	case e.Err == nil:
+		return fmt.Sprintf("wire: unknown message kind %d", e.Kind)
+	case e.Kind == 0:
+		return fmt.Sprintf("wire: decode kind: %v", e.Err)
+	}
+	return fmt.Sprintf("wire: decode kind %d: %v", e.Kind, e.Err)
+}
+
+// Unwrap returns the underlying cause.
+func (e *DecodeError) Unwrap() error { return e.Err }
