@@ -226,18 +226,18 @@ func BenchmarkAoIEuclid(b *testing.B) {
 	}
 }
 
-func BenchmarkAoIGrid(b *testing.B) {
+func BenchmarkAoIIncremental(b *testing.B) {
 	for _, n := range []int{50, 150, 300, 1000} {
 		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
-			benchAoI(b, aoi.NewGrid(50), n)
+			benchAoI(b, aoi.NewIncremental(50), n)
 		})
 	}
 }
 
 // --- wire serialization ablation --------------------------------------------
 
-func sampleUpdate(visible int) *proto.StateUpdate {
-	upd := &proto.StateUpdate{
+func sampleKeyframe(visible int) *proto.StateKeyframe {
+	upd := &proto.StateKeyframe{
 		Tick: 42,
 		Self: entity.Entity{ID: 1, Pos: entity.Vec2{X: 10, Y: 20}, Health: 90, Owner: "s1", Seq: 7},
 	}
@@ -250,8 +250,8 @@ func sampleUpdate(visible int) *proto.StateUpdate {
 	return upd
 }
 
-func BenchmarkWireStateUpdateEncode(b *testing.B) {
-	upd := sampleUpdate(32)
+func BenchmarkWireStateKeyframeEncode(b *testing.B) {
+	upd := sampleKeyframe(32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if payload := proto.Registry.EncodeToBytes(upd); len(payload) == 0 {
@@ -260,8 +260,8 @@ func BenchmarkWireStateUpdateEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkWireStateUpdateDecode(b *testing.B) {
-	payload := proto.Registry.EncodeToBytes(sampleUpdate(32))
+func BenchmarkWireStateKeyframeDecode(b *testing.B) {
+	payload := proto.Registry.EncodeToBytes(sampleKeyframe(32))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,8 +271,8 @@ func BenchmarkWireStateUpdateDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateModes compares full state updates against RTF's delta
-// bandwidth optimization on a live single-server cluster with moving bots,
+// BenchmarkUpdateModes compares a keyframe every tick ("full") against
+// RTF's delta bandwidth optimization on a live single-server cluster with moving bots,
 // reporting measured wire bytes per tick for each mode.
 func BenchmarkUpdateModes(b *testing.B) {
 	for _, mode := range []struct {

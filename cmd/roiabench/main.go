@@ -49,7 +49,7 @@ var (
 	benchOut  = flag.String("bench-out", "", "variability/cost: also write the result as a BENCH-schema JSON snapshot (diffable via tools/benchjson -compare)")
 	flightOut = flag.String("flightrec-out", "", "variability: write flight-recorder captures (one JSON object per line) to this path")
 	costOut   = flag.String("cost-out", "", "cost: write the per-scenario cost rows (one JSON object per line) to this path")
-	deltaFlag = flag.Bool("delta", false, "cost: measure the proto v5 delta publish path (delta+keyframe stream, incremental AoI) instead of full updates")
+	deltaFlag = flag.Bool("delta", false, "cost: measure the delta publish path (delta+keyframe stream, incremental AoI) instead of a keyframe every tick")
 )
 
 func main() {

@@ -71,7 +71,7 @@ var (
 	costFlag    = flag.Bool("cost", true, "track per-stage allocation, GC attribution, per-client egress, and AoI churn")
 	deadline    = flag.Duration("deadline", 0, "tick QoS deadline for violation accounting (default: the tick interval, 1/U)")
 	parFlag     = flag.Int("parallelism", 1, "worker count for the tick pipeline's parallel stages (1 = sequential; wire output is identical either way)")
-	deltaFlag   = flag.Bool("delta", false, "publish wire-v5 StateDelta/StateKeyframe streams (incremental AoI index) instead of full per-tick StateUpdates")
+	deltaFlag   = flag.Bool("delta", false, "publish StateDelta streams with periodic StateKeyframes (incremental AoI index) instead of a StateKeyframe every tick")
 	keyTicksF   = flag.Int("keyframe-ticks", 0, "with -delta: periodic keyframe cadence in ticks (0 = server default)")
 )
 
@@ -114,7 +114,7 @@ func run() error {
 	var aoiMgr aoi.Manager
 	if *deltaFlag {
 		// The maintained index is what keeps the delta publish stage
-		// allocation-free; full-update mode keeps the default Euclid scan.
+		// allocation-free; keyframe-only mode keeps the default Euclid scan.
 		aoiMgr = aoi.NewIncremental(server.DefaultAOIRadius)
 	}
 	srv, err := server.New(server.Config{

@@ -75,10 +75,10 @@ type costRunDelta struct {
 }
 
 // CostOpts selects the publish-path variant the cost harness measures.
-// The zero value is the classic full-update pipeline; `roiabench -fig cost
-// -delta` switches all three knobs on to price the proto v5 publish unit.
+// The zero value sends a keyframe every tick; `roiabench -fig cost -delta`
+// switches all three knobs on to price the delta publish unit.
 type CostOpts struct {
-	// DeltaUpdates switches servers to the v5 delta+keyframe stream.
+	// DeltaUpdates switches servers to the delta+keyframe stream.
 	DeltaUpdates bool
 	// KeyframeTicks sets the keyframe cadence (0 = server default).
 	KeyframeTicks int
@@ -186,20 +186,16 @@ func costRun(sc VariabilityScenario, seed int64, warmTicks, measureTicks int, op
 	return d, nil
 }
 
-// Cost is the hot-path cost harness behind `roiabench -fig cost`: every
-// variability scenario is executed `runs` times on a fresh fleet with cost
-// trackers, and the resource bill of one tick — heap allocations by pipeline
-// stage, in-tick GC pause tail, framed egress per user, AoI churn — is
-// reported next to the wall time the time-only harness already measures.
-// This is the measured side of the paper's cost model: Eq. (1) prices a tick
-// in microseconds, this harness shows which resources that price buys.
-func Cost(seed int64, runs int) (*CostResult, error) {
-	return CostWithOpts(seed, runs, CostOpts{})
-}
-
-// CostWithOpts is Cost with an explicit publish-path variant, so the full
-// and delta pipelines can be priced against each other on identical
-// scenarios (the BENCH_4 → BENCH_5 comparison).
+// CostWithOpts is the hot-path cost harness behind `roiabench -fig cost`:
+// every variability scenario is executed `runs` times on a fresh fleet with
+// cost trackers, and the resource bill of one tick — heap allocations by
+// pipeline stage, in-tick GC pause tail, framed egress per user, AoI churn —
+// is reported next to the wall time the time-only harness already measures.
+// This is the measured side of the paper's cost model: Eq. (1) prices a
+// tick in microseconds, this harness shows which resources that price buys.
+// opts selects the publish-path variant, so the keyframe-every-tick and
+// delta pipelines can be priced against each other on identical scenarios
+// (the BENCH_4 → BENCH_5 comparison).
 func CostWithOpts(seed int64, runs int, opts CostOpts) (*CostResult, error) {
 	const (
 		warmTicks    = 30

@@ -187,7 +187,7 @@ func recalibRow(mode string, samples []monitor.Sample, u float64) (RecalibrateRo
 }
 
 // RecalibratePublish refits the live-loop parameters — most importantly
-// the publish half, t_aoi and t_su — under the classic full-update
+// the publish half, t_aoi and t_su — under the keyframe-every-tick
 // pipeline and under the delta+incremental publish path, on this machine,
 // and compares the model ceilings the two profiles imply. The cheaper
 // publish unit raises n_max (Eq. 2), which propagates through every

@@ -10,16 +10,13 @@
 //     guard each subscription with a duplicate check over the subject's
 //     update list. Its per-user cost grows quadratically with the user
 //     count — exactly the behaviour the paper fits t_aoi with.
-//   - Grid is a uniform spatial hash, the standard faster alternative; it
-//     exists as the ablation baseline (bench: BenchmarkAoI*) showing how the
-//     choice of interest-management algorithm shifts the model parameter.
+//   - Incremental is a uniform spatial hash maintained across ticks, the
+//     standard faster alternative and the production index; the ablation
+//     benchmarks (BenchmarkAoI*) show how the choice of interest-management
+//     algorithm shifts the model parameter.
 package aoi
 
-import (
-	"math"
-
-	"roia/internal/rtf/entity"
-)
+import "roia/internal/rtf/entity"
 
 // Manager computes the set of entities visible to a subject.
 //
@@ -30,7 +27,7 @@ import (
 // worker pool — so Visible must not mutate manager state. Each caller
 // passes its own dst slice; world is the same immutable snapshot slice
 // Build received and must not be written through. Both implementations in
-// this package (Euclid and Grid) satisfy the contract.
+// this package (Euclid and Incremental) satisfy the contract.
 type Manager interface {
 	// Build prepares the manager for a tick's worth of Visible queries
 	// over the given world (e.g. re-indexing a spatial hash). Managers
@@ -80,84 +77,6 @@ func (e *Euclid) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec2, wo
 		}
 		if !dup {
 			dst = append(dst, cand.ID)
-		}
-	}
-	return dst
-}
-
-// Grid is a uniform spatial-hash interest manager. Build must be called
-// once per tick before Visible.
-type Grid struct {
-	// Radius is the visibility radius.
-	Radius float64
-	// CellSize is the edge length of one grid cell; zero defaults to
-	// Radius (the usual choice: candidates lie in the 3×3 neighbourhood).
-	CellSize float64
-
-	cells map[cellKey][]*entity.Entity
-}
-
-type cellKey struct{ cx, cy int32 }
-
-// NewGrid returns a Grid manager with the given visibility radius.
-func NewGrid(radius float64) *Grid {
-	return &Grid{Radius: radius}
-}
-
-func (g *Grid) cellSize() float64 {
-	if g.CellSize > 0 {
-		return g.CellSize
-	}
-	if g.Radius > 0 {
-		return g.Radius
-	}
-	return 1
-}
-
-func (g *Grid) key(pos entity.Vec2) cellKey {
-	cs := g.cellSize()
-	return cellKey{int32(math.Floor(pos.X / cs)), int32(math.Floor(pos.Y / cs))}
-}
-
-// Build (re)indexes the world into the spatial hash.
-func (g *Grid) Build(world []*entity.Entity) {
-	g.cells = make(map[cellKey][]*entity.Entity, len(world)/2+1)
-	for _, e := range world {
-		k := g.key(e.Pos)
-		g.cells[k] = append(g.cells[k], e)
-	}
-}
-
-// Visible implements Manager over the most recent Build. Results are in
-// the same relative order as the Build input within each cell and cell
-// scan order is deterministic, so outputs are reproducible. Visible never
-// mutates the grid (the concurrency contract): if Build has not run yet it
-// falls back to a read-only linear scan instead of lazily indexing, so
-// concurrent first-tick queries stay race-free.
-func (g *Grid) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []entity.ID {
-	if g.cells == nil {
-		r2 := g.Radius * g.Radius
-		for _, cand := range world {
-			if cand.ID != subject && pos.Dist2(cand.Pos) <= r2 {
-				dst = append(dst, cand.ID)
-			}
-		}
-		return dst
-	}
-	r2 := g.Radius * g.Radius
-	cs := g.cellSize()
-	reach := int32(math.Ceil(g.Radius/cs)) + 1
-	center := g.key(pos)
-	for dy := -reach; dy <= reach; dy++ {
-		for dx := -reach; dx <= reach; dx++ {
-			for _, cand := range g.cells[cellKey{center.cx + dx, center.cy + dy}] {
-				if cand.ID == subject {
-					continue
-				}
-				if pos.Dist2(cand.Pos) <= r2 {
-					dst = append(dst, cand.ID)
-				}
-			}
 		}
 	}
 	return dst

@@ -60,6 +60,8 @@ func TestEuclidNoDuplicates(t *testing.T) {
 	}
 }
 
+// TestGridMatchesEuclidProperty compares one build of the production grid
+// index, Incremental, against Euclid on random worlds.
 func TestGridMatchesEuclidProperty(t *testing.T) {
 	prop := func(seed int64, n8 uint8, radiusRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -71,7 +73,7 @@ func TestGridMatchesEuclidProperty(t *testing.T) {
 		}
 		world := mkWorld(positions)
 		euclid := NewEuclid(radius)
-		grid := NewGrid(radius)
+		grid := NewIncremental(radius)
 		grid.Build(world)
 		for _, subj := range world {
 			a := euclid.Visible(nil, subj.ID, subj.Pos, world)
@@ -94,55 +96,10 @@ func TestGridMatchesEuclidProperty(t *testing.T) {
 	}
 }
 
-func TestGridLazyBuild(t *testing.T) {
-	world := mkWorld([]entity.Vec2{{X: 0, Y: 0}, {X: 1, Y: 1}})
-	g := NewGrid(5)
-	// Visible without explicit Build answers via the read-only linear
-	// fallback — correct results, no state mutation (see the Manager
-	// concurrency contract).
-	got := g.Visible(nil, 1, world[0].Pos, world)
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("unbuilt Visible = %v", got)
-	}
-	if g.cells != nil {
-		t.Fatal("Visible mutated the grid index; breaks the concurrent-Visible contract")
-	}
-}
-
-// TestGridUnbuiltMatchesEuclid pins the read-only fallback to the same
-// visible sets as Euclid for randomized worlds and radii.
-func TestGridUnbuiltMatchesEuclid(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(80) + 2
-		radius := rng.Float64()*40 + 1
-		positions := make([]entity.Vec2, n)
-		for i := range positions {
-			positions[i] = entity.Vec2{X: rng.Float64() * 150, Y: rng.Float64() * 150}
-		}
-		world := mkWorld(positions)
-		euclid := NewEuclid(radius)
-		grid := NewGrid(radius) // no Build: exercises the fallback scan
-		for _, subj := range world {
-			a := euclid.Visible(nil, subj.ID, subj.Pos, world)
-			b := grid.Visible(nil, subj.ID, subj.Pos, world)
-			sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-			sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-			if len(a) != len(b) {
-				t.Fatalf("trial %d subj %d: euclid %v grid %v", trial, subj.ID, a, b)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("trial %d subj %d: euclid %v grid %v", trial, subj.ID, a, b)
-				}
-			}
-		}
-	}
-}
-
 // TestVisibleConcurrent exercises the Manager concurrency contract: after
 // one Build, Visible must be callable from many goroutines at once. Run
-// under -race this proves both implementations are read-only per query.
+// under -race this proves both implementations (Euclid and the Incremental
+// grid) are read-only per query.
 func TestVisibleConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	positions := make([]entity.Vec2, 200)
@@ -155,13 +112,10 @@ func TestVisibleConcurrent(t *testing.T) {
 		mgr  Manager
 	}{
 		{"euclid", NewEuclid(25)},
-		{"grid", NewGrid(25)},
-		{"grid-unbuilt", &Grid{Radius: 25}},
+		{"grid", NewIncremental(25)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.name != "grid-unbuilt" {
-				tc.mgr.Build(world)
-			}
+			tc.mgr.Build(world)
 			// Reference answers computed sequentially.
 			want := make([][]entity.ID, len(world))
 			for i, subj := range world {
@@ -193,9 +147,11 @@ func TestVisibleConcurrent(t *testing.T) {
 	}
 }
 
+// TestGridRebuildReflectsMovement and TestGridNegativeCoordinates pin the
+// grid-bucketing edge cases on the production grid index, Incremental.
 func TestGridRebuildReflectsMovement(t *testing.T) {
 	world := mkWorld([]entity.Vec2{{X: 0, Y: 0}, {X: 100, Y: 100}})
-	g := NewGrid(5)
+	g := NewIncremental(5)
 	g.Build(world)
 	if got := g.Visible(nil, 1, world[0].Pos, world); len(got) != 0 {
 		t.Fatalf("distant entity visible: %v", got)
@@ -209,7 +165,7 @@ func TestGridRebuildReflectsMovement(t *testing.T) {
 
 func TestGridNegativeCoordinates(t *testing.T) {
 	world := mkWorld([]entity.Vec2{{X: -10, Y: -10}, {X: -12, Y: -10}, {X: 10, Y: 10}})
-	g := NewGrid(5)
+	g := NewIncremental(5)
 	g.Build(world)
 	got := g.Visible(nil, 1, world[0].Pos, world)
 	if len(got) != 1 || got[0] != 2 {

@@ -37,6 +37,8 @@ type Incremental struct {
 	curIDs  []entity.ID
 }
 
+type cellKey struct{ cx, cy int32 }
+
 type resident struct {
 	id  entity.ID
 	pos entity.Vec2

@@ -33,6 +33,17 @@ const maxPendingInputs = 1024
 // out as lost. Keeps the ring small under light input rates too.
 const pendingAge = 10 * time.Second
 
+// Update is what the client keeps of the most recent state update it
+// applied, keyframe or delta.
+type Update struct {
+	// Tick is the server tick the update reflects.
+	Tick uint64
+	// AckSeq is the last input sequence the server had applied.
+	AckSeq uint64
+	// Self is the client's own avatar state after the update.
+	Self entity.Entity
+}
+
 // pendingInput is one sent-but-not-yet-acked input.
 type pendingInput struct {
 	seq uint64
@@ -58,15 +69,9 @@ type Client struct {
 	// hashing.
 	world []entity.Entity
 
-	// last holds the Tick, AckSeq and Self of the most recent applied
-	// update (hasLast reports one exists). When it was a full StateUpdate
-	// (lastFull), full is that update's decoded shell, traded out of the
-	// Poll scratch, and LastUpdate also reports its Visible, Gone and
-	// Events. LastUpdate builds its result from these only when called.
-	last     proto.StateUpdate
-	hasLast  bool
-	lastFull bool
-	full     proto.StateUpdate
+	// last is the most recent applied update (hasLast reports one exists).
+	last    Update
+	hasLast bool
 
 	// events accumulates the Events payloads of applied updates; they
 	// alias the received frames, which the transport never reuses.
@@ -77,13 +82,13 @@ type Client struct {
 	// in is the send shell for SendInput.
 	in proto.Input
 
-	// Delta-stream state (proto v5, server.Config.DeltaUpdates). A delta
-	// applies only when its BaseTick matches lastTick of a synced client;
-	// anything else — a gap, a duplicate, an unknown entity, columns out of
-	// ascending ID order — flips synced off and counts a resync, and the
-	// client coasts on its last coherent world until the next keyframe
-	// re-anchors it. The client never applies a delta onto a base it does
-	// not hold, so it cannot diverge silently.
+	// Update-stream state. A delta applies only when its BaseTick matches
+	// lastTick of a synced client; anything else — a gap, a duplicate, an
+	// unknown entity, columns out of ascending ID order — flips synced off
+	// and counts a resync, and the client coasts on its last coherent
+	// world until the next keyframe re-anchors it. The client never
+	// applies a delta onto a base it does not hold, so it cannot diverge
+	// silently.
 	synced    bool
 	lastTick  uint64
 	resyncs   uint64
@@ -151,23 +156,22 @@ func (c *Client) Updates() uint64 {
 
 // Resyncs reports how many times the delta stream lost coherence (a gap,
 // duplicate, reorder or unknown-entity delta) and the client had to wait
-// for a keyframe to re-anchor. Zero on full-update streams.
+// for a keyframe to re-anchor. Zero on keyframe-only streams.
 func (c *Client) Resyncs() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.resyncs
 }
 
-// Keyframes reports how many full keyframes the delta stream delivered.
+// Keyframes reports how many keyframes the update stream delivered.
 func (c *Client) Keyframes() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.keyframes
 }
 
-// Synced reports whether the client holds a coherent delta-stream view
-// (anchored by a keyframe with no unapplied gap since). Always false on
-// full-update streams, where World is maintained per update instead.
+// Synced reports whether the client holds a coherent view: anchored by a
+// keyframe with no unapplied delta gap since.
 func (c *Client) Synced() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -189,29 +193,21 @@ func (c *Client) Migrations() int {
 	return c.migrations
 }
 
-// LastUpdate returns the most recent state update, or nil. Under delta
-// updates it carries the Tick, AckSeq and Self of the applied keyframe or
-// delta. The result is a fresh copy the caller may keep.
-func (c *Client) LastUpdate() *proto.StateUpdate {
+// LastUpdate returns the most recent applied state update, or nil. The
+// result is a fresh copy the caller may keep.
+func (c *Client) LastUpdate() *Update {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.hasLast {
 		return nil
 	}
 	u := c.last
-	if c.lastFull {
-		u.Visible = slices.Clone(c.full.Visible)
-		u.Gone = slices.Clone(c.full.Gone)
-		u.Events = c.full.Events
-	}
 	return &u
 }
 
-// World returns the client's view of nearby entities (everything received
-// in state updates and not yet reported gone, excluding its own avatar),
-// in ID order. Under delta updates (see server.Config.DeltaUpdates) this
-// cache is the authoritative client view; under full updates it is the
-// union of recently visible entities.
+// World returns the client's view of nearby entities (the last keyframe's
+// visible set with every applied delta since, excluding its own avatar),
+// in ID order.
 func (c *Client) World() []entity.Entity {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -343,12 +339,11 @@ func (c *Client) sendLocked(msg wire.Message) error {
 // process per-client shells would outweigh the world caches themselves,
 // while a pool holds about one scratch per concurrently polling goroutine.
 // Buffers move freely between a scratch and the client it serves (the
-// merged world, the last full update), so every one stays reused.
+// merged world), so every one stays reused.
 type pollScratch struct {
 	frames []transport.Frame
 	r      wire.Reader
 	ack    proto.JoinAck
-	upd    proto.StateUpdate
 	kf     proto.StateKeyframe
 	delta  proto.StateDelta
 	notice proto.MigrateNotice
@@ -382,11 +377,6 @@ func (c *Client) Poll() int {
 			if ps.decode(payload, &ps.ack) {
 				c.avatar = ps.ack.Entity
 				c.joined = true
-			}
-		case proto.KindStateUpdate:
-			if ps.decode(payload, &ps.upd) {
-				c.applyFull(ps, now)
-				seen++
 			}
 		case proto.KindStateKeyframe:
 			if ps.decode(payload, &ps.kf) {
@@ -426,26 +416,6 @@ func (ps *pollScratch) decode(payload []byte, shell wire.Message) bool {
 	return proto.Registry.DecodeInto(&ps.r, payload, shell) == nil
 }
 
-// applyFull applies the full StateUpdate in ps.upd: the avatar and every
-// visible entity are upserted into the world, Gone entities dropped. The
-// update's shell then stays with the client for LastUpdate.
-func (c *Client) applyFull(ps *pollScratch, now time.Time) {
-	upd := &ps.upd
-	c.resolveAckLocked(upd.AckSeq, now)
-	c.upsert(&upd.Self)
-	for i := range upd.Visible {
-		c.upsert(&upd.Visible[i])
-	}
-	for _, id := range upd.Gone {
-		if i, ok := c.find(id); ok {
-			c.world = slices.Delete(c.world, i, i+1)
-		}
-	}
-	c.setLast(upd.Tick, upd.AckSeq, &upd.Self, true)
-	c.appendEvents(upd.Events)
-	ps.upd, c.full = c.full, ps.upd
-}
-
 // applyKeyframe replaces the world wholesale with kf's visible set and
 // re-anchors the delta chain.
 func (c *Client) applyKeyframe(kf *proto.StateKeyframe, now time.Time) {
@@ -458,7 +428,7 @@ func (c *Client) applyKeyframe(kf *proto.StateKeyframe, now time.Time) {
 	c.lastTick = kf.Tick
 	c.synced = true
 	c.keyframes++
-	c.setLast(kf.Tick, kf.AckSeq, &kf.Self, false)
+	c.setLast(kf.Tick, kf.AckSeq, &kf.Self)
 	c.appendEvents(kf.Events)
 }
 
@@ -505,7 +475,7 @@ func (c *Client) applyDelta(ps *pollScratch, now time.Time) bool {
 		c.world, ps.spare = mergeWorld(ps.spare[:0], c.world, d.Enters, d.Gone), c.world
 	}
 	c.lastTick = d.Tick
-	c.setLast(d.Tick, d.AckSeq, &self, false)
+	c.setLast(d.Tick, d.AckSeq, &self)
 	c.appendEvents(d.Events)
 	return true
 }
@@ -517,9 +487,9 @@ func (c *Client) desync() {
 }
 
 // setLast records an applied update for LastUpdate and counts it.
-func (c *Client) setLast(tick, ack uint64, self *entity.Entity, full bool) {
-	c.last = proto.StateUpdate{Tick: tick, AckSeq: ack, Self: *self}
-	c.hasLast, c.lastFull = true, full
+func (c *Client) setLast(tick, ack uint64, self *entity.Entity) {
+	c.last = Update{Tick: tick, AckSeq: ack, Self: *self}
+	c.hasLast = true
 	c.updates++
 }
 

@@ -84,10 +84,10 @@ func TestJoinAckBindsAvatar(t *testing.T) {
 func TestPollRetainsLatestUpdateAndAccumulatesEvents(t *testing.T) {
 	c, srv := setup(t)
 	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.JoinAck{Entity: 1}))
-	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateUpdate{
+	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
 		Tick: 1, Self: entity.Entity{ID: 1}, Events: []byte("hit"),
 	}))
-	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateUpdate{
+	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
 		Tick: 2, Self: entity.Entity{ID: 1},
 	}))
 	if got := c.Poll(); got != 2 {

@@ -122,14 +122,6 @@ func (r *refClient) apply(payload []byte) {
 	switch m := msg.(type) {
 	case *proto.JoinAck:
 		r.avatar = m.Entity
-	case *proto.StateUpdate:
-		r.world[m.Self.ID] = m.Self
-		for _, e := range m.Visible {
-			r.world[e.ID] = e
-		}
-		for _, id := range m.Gone {
-			delete(r.world, id)
-		}
 	case *proto.StateKeyframe:
 		clear(r.world)
 		r.world[m.Self.ID] = m.Self

@@ -114,7 +114,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures a deep copy of the store in ID order, diffed against
-// the previous capture: Changed/Lookup report which field groups of each
+// the previous capture: Lookup reports which field groups of each
 // entity differ from the prior snapshot (FieldAll for entities that appeared
 // since). Buffers are recycled from the snapshot before last, making the
 // steady-state capture allocation-free; see the Snapshot type for the
@@ -184,16 +184,6 @@ func (sn *Snapshot) Lookup(id ID) (*Entity, FieldMask, bool) {
 		return nil, 0, false
 	}
 	return &sn.ents[i], sn.changed[i], true
-}
-
-// Changed reports the changed-field mask of a captured entity relative to
-// the previous snapshot (zero when the ID was not captured).
-func (sn *Snapshot) Changed(id ID) FieldMask {
-	i, ok := sn.byID[id]
-	if !ok {
-		return 0
-	}
-	return sn.changed[i]
 }
 
 // Version is the monotonic capture version assigned by the store.

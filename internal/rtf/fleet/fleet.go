@@ -86,8 +86,8 @@ type Config struct {
 	// server.Config.Parallelism); wire output stays byte-identical for
 	// any value.
 	Parallelism int
-	// DeltaUpdates switches every spawned server to the proto v5
-	// delta+keyframe stream (see server.Config.DeltaUpdates).
+	// DeltaUpdates switches every spawned server from a keyframe every
+	// tick to the delta+keyframe stream (see server.Config.DeltaUpdates).
 	DeltaUpdates bool
 	// KeyframeTicks sets the keyframe cadence of spawned servers under
 	// DeltaUpdates (see server.Config.KeyframeTicks; 0 means the server
@@ -153,15 +153,6 @@ func (f *Fleet) event(kind, replica, detail string) {
 		Replica:   replica,
 		Detail:    detail,
 	})
-}
-
-// MigTracer returns the migration tracer of a spawned server (including
-// already-stopped ones), when TraceMigrations is on.
-func (f *Fleet) MigTracer(id string) (*telemetry.MigTracer, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	tr, ok := f.migs[id]
-	return tr, ok
 }
 
 // MigEvents snapshots every spawned server's migration events, keyed by

@@ -353,15 +353,6 @@ func (m *Monitor) MeanTick() float64 {
 	return m.tickTotals.Mean()
 }
 
-// TickCPUSummary summarizes recent tick CPU sums (ms): the time burned
-// across all workers, which exceeds the wall duration once the parallel
-// executor spreads a tick over several cores.
-func (m *Monitor) TickCPUSummary() stats.Summary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tickCPU.Summary()
-}
-
 // MeanTickCPU returns the mean recent tick CPU sum (ms). The ratio
 // MeanTickCPU/MeanTick is the tick's effective speedup — the live
 // counterpart of the model's USL term S(w).

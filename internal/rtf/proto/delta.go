@@ -47,7 +47,7 @@ type StateDelta struct {
 	Tick uint64
 	// BaseTick is the tick of the update this delta applies on top of.
 	BaseTick uint64
-	// AckSeq is the last applied input sequence number (see StateUpdate).
+	// AckSeq is the last applied input sequence number (see StateKeyframe).
 	AckSeq uint64
 	// SelfMask names the avatar field groups that changed; Self carries
 	// only those (the avatar's ID never travels — the client knows it).
@@ -133,15 +133,19 @@ func (m *StateDelta) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// StateKeyframe is a full self-contained state update of protocol v5: the
+// StateKeyframe is a full self-contained state update (protocol v5): the
 // client replaces its visible world wholesale. Keyframes are emitted on a
-// configurable cadence and forced whenever a client has no valid delta base
-// (join, migration, resync after loss), bounding how long a desynchronized
-// client stays stale.
+// configurable cadence — every tick when the server runs without delta
+// updates — and forced whenever a client has no valid delta base (join,
+// migration, resync after loss), bounding how long a desynchronized client
+// stays stale.
 type StateKeyframe struct {
 	// Tick is the server tick this keyframe reflects.
 	Tick uint64
-	// AckSeq is the last applied input sequence number (see StateUpdate).
+	// AckSeq is the sequence number of the last input of this client the
+	// server applied before building the update (0 while none). The client
+	// matches it against its send timestamps to measure the user-perceived
+	// input→update response time the model's QoS threshold U promises.
 	AckSeq uint64
 	// Self is the client's own avatar state.
 	Self entity.Entity

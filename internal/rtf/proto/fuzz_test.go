@@ -22,7 +22,7 @@ func FuzzRegistryDecode(f *testing.F) {
 		Registry.EncodeToBytes(&JoinAck{Entity: 9, Tick: 3}),
 		Registry.EncodeToBytes(&Leave{}),
 		Registry.EncodeToBytes(&Input{Seq: 1, Payload: []byte{1, 2, 3}}),
-		Registry.EncodeToBytes(&StateUpdate{
+		Registry.EncodeToBytes(&StateKeyframe{
 			Tick: 1, Self: entity.Entity{ID: 1, Owner: "s"},
 			Visible: []entity.Entity{{ID: 2}}, Events: []byte("e"),
 		}),
@@ -64,7 +64,7 @@ func FuzzProtoUnmarshal(f *testing.F) {
 	full := [][]byte{
 		Registry.EncodeToBytes(&Join{UserName: "user-name", Zone: 7, Pos: entity.Vec2{X: -3.5, Y: 44}}),
 		Registry.EncodeToBytes(&Input{Seq: 900, Payload: []byte{9, 8, 7, 6, 5}}),
-		Registry.EncodeToBytes(&StateUpdate{
+		Registry.EncodeToBytes(&StateKeyframe{
 			Tick: 42, Self: entity.Entity{ID: 11, Owner: "srv"},
 			Visible: []entity.Entity{{ID: 12}, {ID: 13}}, Events: []byte("evts"),
 		}),

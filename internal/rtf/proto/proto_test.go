@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -44,8 +45,11 @@ func TestInputRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStateUpdateRoundTrip(t *testing.T) {
-	in := &StateUpdate{
+// The client update stream has two message kinds, StateKeyframe and
+// StateDelta; the TestStateUpdate* tests cover both.
+
+func sampleKeyframe() *StateKeyframe {
+	return &StateKeyframe{
 		Tick:   100,
 		AckSeq: 41,
 		Self:   entity.Entity{ID: 1, Owner: "s1", Health: 95, Pos: entity.Vec2{X: 4, Y: 5}},
@@ -55,9 +59,24 @@ func TestStateUpdateRoundTrip(t *testing.T) {
 		},
 		Events: []byte("hit:2"),
 	}
-	m := roundTrip(t, in).(*StateUpdate)
+}
+
+func sampleDelta() *StateDelta {
+	return &StateDelta{
+		Tick: 101, BaseTick: 100, AckSeq: 42,
+		SelfMask: entity.FieldPos, Self: entity.Entity{Pos: entity.Vec2{X: 5, Y: 5}},
+		Updates: []EntityDelta{{ID: 2, Mask: entity.FieldHealth, State: entity.Entity{Health: 40}}},
+		Enters:  []entity.Entity{{ID: 4, Owner: "s2", Seq: 1}},
+		Gone:    []entity.ID{3},
+		Events:  []byte("hit:4"),
+	}
+}
+
+func TestStateUpdateRoundTrip(t *testing.T) {
+	in := sampleKeyframe()
+	m := roundTrip(t, in).(*StateKeyframe)
 	if m.Tick != 100 || m.AckSeq != 41 || m.Self != in.Self || len(m.Visible) != 2 {
-		t.Fatalf("update = %+v", m)
+		t.Fatalf("keyframe = %+v", m)
 	}
 	if m.Visible[0] != in.Visible[0] || m.Visible[1] != in.Visible[1] {
 		t.Fatalf("visible = %+v", m.Visible)
@@ -65,12 +84,27 @@ func TestStateUpdateRoundTrip(t *testing.T) {
 	if string(m.Events) != "hit:2" {
 		t.Fatalf("events = %q", m.Events)
 	}
+	din := sampleDelta()
+	d := roundTrip(t, din).(*StateDelta)
+	if d.Tick != 101 || d.BaseTick != 100 || d.AckSeq != 42 || d.SelfMask != entity.FieldPos || d.Self != din.Self {
+		t.Fatalf("delta header = %+v", d)
+	}
+	if len(d.Updates) != 1 || d.Updates[0] != din.Updates[0] || len(d.Enters) != 1 || d.Enters[0] != din.Enters[0] {
+		t.Fatalf("delta columns = %+v", d)
+	}
+	if len(d.Gone) != 1 || d.Gone[0] != 3 || string(d.Events) != "hit:4" {
+		t.Fatalf("delta gone/events = %v %q", d.Gone, d.Events)
+	}
 }
 
 func TestStateUpdateEmptyVisible(t *testing.T) {
-	m := roundTrip(t, &StateUpdate{Tick: 1, Self: entity.Entity{ID: 9}}).(*StateUpdate)
+	m := roundTrip(t, &StateKeyframe{Tick: 1, Self: entity.Entity{ID: 9}}).(*StateKeyframe)
 	if len(m.Visible) != 0 || len(m.Events) != 0 {
-		t.Fatalf("empty update = %+v", m)
+		t.Fatalf("empty keyframe = %+v", m)
+	}
+	d := roundTrip(t, &StateDelta{Tick: 2, BaseTick: 1}).(*StateDelta)
+	if len(d.Updates) != 0 || len(d.Enters) != 0 || len(d.Gone) != 0 || len(d.Events) != 0 {
+		t.Fatalf("empty delta = %+v", d)
 	}
 }
 
@@ -113,13 +147,21 @@ func TestMigrationMessagesRoundTrip(t *testing.T) {
 }
 
 func TestStateUpdateAckSeqRoundTripProperty(t *testing.T) {
-	prop := func(tick, ackSeq uint64) bool {
-		got, err := Registry.Decode(Registry.EncodeToBytes(&StateUpdate{Tick: tick, AckSeq: ackSeq}))
+	prop := func(tick, base, ackSeq uint64) bool {
+		got, err := Registry.Decode(Registry.EncodeToBytes(&StateKeyframe{Tick: tick, AckSeq: ackSeq}))
 		if err != nil {
 			return false
 		}
-		su := got.(*StateUpdate)
-		return su.Tick == tick && su.AckSeq == ackSeq
+		kf := got.(*StateKeyframe)
+		if kf.Tick != tick || kf.AckSeq != ackSeq {
+			return false
+		}
+		got, err = Registry.Decode(Registry.EncodeToBytes(&StateDelta{Tick: tick, BaseTick: base, AckSeq: ackSeq}))
+		if err != nil {
+			return false
+		}
+		d := got.(*StateDelta)
+		return d.Tick == tick && d.BaseTick == base && d.AckSeq == ackSeq
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -127,37 +169,48 @@ func TestStateUpdateAckSeqRoundTripProperty(t *testing.T) {
 }
 
 // TestStateUpdateTruncatedEveryPrefix decodes every strict prefix of an
-// encoded StateUpdate; all must fail cleanly (the v3 AckSeq field sits in
-// the fixed prefix, so a v2 frame is 8 bytes short and must be rejected,
-// not misparsed).
+// encoded keyframe and delta; all must fail cleanly, not misparse.
 func TestStateUpdateTruncatedEveryPrefix(t *testing.T) {
-	payload := Registry.EncodeToBytes(&StateUpdate{
-		Tick:    9,
-		AckSeq:  1234,
-		Self:    entity.Entity{ID: 1},
-		Visible: []entity.Entity{{ID: 2}},
-		Gone:    []entity.ID{3},
-		Events:  []byte("e"),
-	})
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := Registry.Decode(payload[:cut]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(payload))
+	for _, msg := range []wire.Message{sampleKeyframe(), sampleDelta()} {
+		payload := Registry.EncodeToBytes(msg)
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := Registry.Decode(payload[:cut]); err == nil {
+				t.Fatalf("%T: prefix of %d/%d bytes decoded without error", msg, cut, len(payload))
+			}
 		}
-	}
-	if _, err := Registry.Decode(payload); err != nil {
-		t.Fatalf("full payload rejected: %v", err)
+		if _, err := Registry.Decode(payload); err != nil {
+			t.Fatalf("%T: full payload rejected: %v", msg, err)
+		}
 	}
 }
 
 func TestDecodeRejectsCorruptStateUpdate(t *testing.T) {
-	payload := Registry.EncodeToBytes(&StateUpdate{
+	payload := Registry.EncodeToBytes(&StateKeyframe{
 		Tick:    1,
 		Self:    entity.Entity{ID: 1},
 		Visible: []entity.Entity{{ID: 2}, {ID: 3}},
 	})
 	// Truncate mid-entity.
 	if _, err := Registry.Decode(payload[:len(payload)-10]); err == nil {
-		t.Fatal("truncated state update decoded")
+		t.Fatal("truncated keyframe decoded")
+	}
+}
+
+// TestRetiredStateUpdateKind pins protocol v6: kind 5 (the v5 full
+// StateUpdate) is reserved and decodes to the unknown-kind error, while the
+// kinds around it keep their numbers.
+func TestRetiredStateUpdateKind(t *testing.T) {
+	payload := append([]byte{0, 5}, Registry.EncodeToBytes(sampleKeyframe())[2:]...)
+	_, err := Registry.Decode(payload)
+	var de *wire.DecodeError
+	if !errors.As(err, &de) || de.Kind != 5 || de.Err != nil || de.Want != 0 {
+		t.Fatalf("kind 5 decode error = %v, want the unknown-kind error", err)
+	}
+	if Version != 6 {
+		t.Fatalf("Version = %d, want 6", Version)
+	}
+	if KindInput != 4 || KindShadowUpdate != 6 || KindStateKeyframe != 13 {
+		t.Fatalf("kind numbers moved: input %d shadow %d keyframe %d", KindInput, KindShadowUpdate, KindStateKeyframe)
 	}
 }
 

@@ -117,35 +117,47 @@ func TestDeltaUpdatesSaveBandwidthWhenIdle(t *testing.T) {
 	if withDelta >= full {
 		t.Fatalf("delta mode not cheaper when idle: %d >= %d bytes", withDelta, full)
 	}
-	// The saving must be substantial — idle full updates resend every
-	// entity every tick, idle delta updates send only the self state.
+	// The saving must be substantial — idle keyframes resend every entity
+	// every tick, idle delta updates send only the self state.
 	if withDelta > full/3 {
 		t.Fatalf("delta saving too small: %d vs %d bytes", withDelta, full)
 	}
 }
 
+// TestDeltaGoneListPrunesClientWorld checks both update modes: the delta
+// stream drops a leaver through its Gone column, and without delta updates
+// every update is a keyframe that replaces the world, so the leaver goes
+// too (the v5 full StateUpdate never listed leavers, and the client world
+// only grew).
 func TestDeltaGoneListPrunesClientWorld(t *testing.T) {
-	// Two clients in view; one walks out of the other's AoI (radius 50).
-	srv, clients, step := deltaCluster(t, true, 2)
-	for i := 0; i < 3; i++ {
-		step()
-	}
-	watcher, walker := clients[0], clients[1]
-	if ids := worldIDs(watcher); len(ids) != 1 || ids[0] != walker.Avatar() {
-		t.Fatalf("watcher world = %v, want [walker]", ids)
-	}
-	// Walk the walker far away (AoI radius is 50; positions start 5 apart).
-	for i := 0; i < 30; i++ {
-		walker.SendInput(game.Commands.EncodeToBytes(&game.Move{DX: 5, DY: 0}))
-		step()
-	}
-	if ids := worldIDs(watcher); len(ids) != 0 {
-		t.Fatalf("watcher world after walk-away = %v, want empty", ids)
-	}
-	// And the walker's own server-side view lost the watcher too.
-	e, _ := srv.Entity(walker.Avatar())
-	if d := e.Pos.Dist(entity.Vec2{X: 100, Y: 100}); d < 50 {
-		t.Fatalf("walker only moved %g units", d)
+	for _, mode := range []struct {
+		name  string
+		delta bool
+	}{{"delta", true}, {"keyframes", false}} {
+		t.Run(mode.name, func(t *testing.T) {
+			// Two clients in view; one walks out of the other's AoI (radius 50).
+			srv, clients, step := deltaCluster(t, mode.delta, 2)
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			watcher, walker := clients[0], clients[1]
+			if ids := worldIDs(watcher); len(ids) != 1 || ids[0] != walker.Avatar() {
+				t.Fatalf("watcher world = %v, want [walker]", ids)
+			}
+			// Walk the walker far away (AoI radius is 50; positions start 5 apart).
+			for i := 0; i < 30; i++ {
+				walker.SendInput(game.Commands.EncodeToBytes(&game.Move{DX: 5, DY: 0}))
+				step()
+			}
+			if ids := worldIDs(watcher); len(ids) != 0 {
+				t.Fatalf("watcher world after walk-away = %v, want empty", ids)
+			}
+			// And the walker's own server-side view lost the watcher too.
+			e, _ := srv.Entity(walker.Avatar())
+			if d := e.Pos.Dist(entity.Vec2{X: 100, Y: 100}); d < 50 {
+				t.Fatalf("walker only moved %g units", d)
+			}
+		})
 	}
 }
 

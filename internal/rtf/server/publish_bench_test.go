@@ -154,7 +154,8 @@ func benchServer(b *testing.B, n int, delta bool, parallelism int) (*server.Serv
 // BenchmarkPublish measures a full tick — incremental AoI rebuild, visible
 // -set diff, delta encoding and vectored staging for every user — at
 // n=500 with a dirty world. The publish stage dominates; the whole tick
-// must be allocation-free in steady state.
+// must be allocation-free in steady state. "full" runs without delta
+// updates, so every user gets a keyframe every tick.
 func BenchmarkPublish(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

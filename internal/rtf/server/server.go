@@ -58,13 +58,14 @@ type Config struct {
 	// first-person-shooter rate of Section V).
 	TickInterval time.Duration
 	// DeltaUpdates enables RTF's bandwidth optimization for client state
-	// updates: protocol v5 StateDelta frames carrying only the field groups
+	// updates: StateDelta frames carrying only the field groups
 	// that changed since the client's previous update (plus enter records
 	// and a removal list for area-of-interest churn), with periodic
 	// StateKeyframe full refreshes. Keyframes are forced whenever a client
-	// has no valid delta base — join, migration, resync after loss. The
-	// client maintains a world cache (client.World). Server-to-server
-	// shadow updates remain full refreshes so replicas stay loss-tolerant.
+	// has no valid delta base — join, migration, resync after loss. Without
+	// DeltaUpdates every update is a StateKeyframe. Either way the client
+	// maintains a world cache (client.World). Server-to-server shadow
+	// updates remain full refreshes so replicas stay loss-tolerant.
 	DeltaUpdates bool
 	// KeyframeTicks is the cadence of periodic StateKeyframe refreshes
 	// under DeltaUpdates: a client receives a keyframe at least every
@@ -86,23 +87,21 @@ type Config struct {
 	// avatars would otherwise haunt the zone forever. 0 disables eviction.
 	// At 25 Hz, 250 ticks ≈ 10 s of silence.
 	IdleTimeoutTicks uint64
-	// Tracer, when set, records a per-task span decomposition of every tick
-	// into its bounded ring buffer (exportable as Chrome trace_event JSON
-	// via telemetry.TraceHandler — see cmd/roiaserver's /debug/ticktrace).
-	// The spans are synthesized from the same Breakdown the Monitor
-	// ingests, so tracing adds no extra clock reads to the hot loop.
+	// Tracer, when set, keeps every tick's telemetry.TickRecord in its
+	// bounded ring buffer (exportable as Chrome trace_event JSON via
+	// telemetry.TraceHandler — see cmd/roiaserver's /debug/ticktrace).
+	// The record is built from the same Breakdown the Monitor ingests, so
+	// tracing adds no extra clock reads to the hot loop.
 	Tracer *telemetry.Tracer
 	// Profiler, when set, aggregates each tick's task timings into the
 	// four model phases (user_input, forwarded_input, npc_update, aoi_su)
 	// with per-phase latency distributions. Like the Tracer it reuses the
 	// Breakdown already timed for the Monitor — no extra clock reads.
 	Profiler *telemetry.TaskProfiler
-	// FlightRec, when set, receives one telemetry.TickRecord per tick and
-	// freezes a pre/post window around deadline-violating or hiccup ticks
-	// into immutable captures (exportable as JSONL via
+	// FlightRec, when set, receives the same per-tick telemetry.TickRecord
+	// as the Tracer and freezes a pre/post window around deadline-violating
+	// or hiccup ticks into immutable captures (exportable as JSONL via
 	// telemetry.FlightRecHandler — see cmd/roiaserver's /debug/flightrec).
-	// Like the Tracer it reuses the Breakdown already timed for the
-	// Monitor, so recording adds no clock reads to the hot loop.
 	FlightRec *telemetry.FlightRecorder
 	// Cost, when set, receives the tick pipeline's resource attribution:
 	// per-stage heap-allocation deltas and in-tick GC pauses sampled from
@@ -247,6 +246,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.KeyframeTicks <= 0 {
 		cfg.KeyframeTicks = 32
 	}
+	if !cfg.DeltaUpdates {
+		cfg.KeyframeTicks = 1 // a keyframe every tick
+	}
 	s := &Server{
 		cfg:           cfg,
 		store:         entity.NewStore(),
@@ -285,9 +287,6 @@ func (s *Server) Tracer() *telemetry.Tracer { return s.cfg.Tracer }
 // FlightRecorder exposes the server's tick flight recorder (nil unless
 // configured).
 func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.cfg.FlightRec }
-
-// MigTrace exposes the server's migration tracer (nil unless configured).
-func (s *Server) MigTrace() *telemetry.MigTracer { return s.cfg.MigTrace }
 
 // Profiler exposes the server's phase profiler (nil unless configured).
 func (s *Server) Profiler() *telemetry.TaskProfiler { return s.cfg.Profiler }
@@ -520,8 +519,6 @@ func egressTypeName(k wire.Kind) string {
 		return "leave"
 	case proto.KindInput:
 		return "input"
-	case proto.KindStateUpdate:
-		return "state_update"
 	case proto.KindShadowUpdate:
 		return "shadow_update"
 	case proto.KindForwarded:

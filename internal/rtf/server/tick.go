@@ -468,21 +468,33 @@ func (s *Server) Tick() {
 		dur, items := br.PhaseBreakdown()
 		s.cfg.Profiler.RecordTick(dur, items)
 	}
-	if s.cfg.Tracer != nil {
-		s.recordTrace(tickStart, &br)
-	}
-	if s.cfg.FlightRec != nil {
-		s.recordFlight(tickStart, &br, len(frames), tickCost)
+	if s.cfg.Tracer != nil || s.cfg.FlightRec != nil {
+		rec := s.tickRecord(tickStart, &br, len(frames), tickCost)
+		if s.cfg.Tracer != nil {
+			s.cfg.Tracer.Record(rec)
+		}
+		if s.cfg.FlightRec != nil {
+			s.cfg.FlightRec.Record(rec)
+		}
 	}
 }
 
-// recordFlight converts the tick's Breakdown into a telemetry.TickRecord
-// for the flight recorder. Like tracing, it reuses the Breakdown already
-// timed for the Monitor — recording adds no clock reads to the hot loop.
-// The tick's resource cost rides along (zero without a CostTracker), so a
-// capture can classify GC-caused spikes.
-func (s *Server) recordFlight(start time.Time, br *monitor.Breakdown, queueDepth int, tc telemetry.TickCost) {
-	tasks := make([]telemetry.Span, 0, len(br.TimeMS))
+// tickRecord converts the tick's Breakdown into the one telemetry.TickRecord
+// every per-tick observer (Tracer, FlightRecorder) reads. It reuses the
+// Breakdown already timed for the Monitor, so recording adds no clock reads
+// to the hot loop. Tasks holds one span per task that did work, laid out
+// sequentially in loop order so the spans sum exactly to the breakdown
+// total; the slice is sized to exactly those tasks, because the Tracer ring
+// retains it for thousands of ticks. The tick's resource cost rides along
+// (zero without a CostTracker), so a capture can classify GC-caused spikes.
+func (s *Server) tickRecord(start time.Time, br *monitor.Breakdown, queueDepth int, tc telemetry.TickCost) telemetry.TickRecord {
+	worked := 0
+	for t := range br.TimeMS {
+		if br.TimeMS[t] != 0 || br.Items[t] != 0 {
+			worked++
+		}
+	}
+	tasks := make([]telemetry.Span, 0, worked)
 	offset := 0.0
 	for _, t := range monitor.Tasks() {
 		dur := br.TimeMS[t]
@@ -517,35 +529,7 @@ func (s *Server) recordFlight(start time.Time, br *monitor.Breakdown, queueDepth
 	if deadline > 0 {
 		rec.SlackMS = deadline - br.WallMS
 	}
-	s.cfg.FlightRec.Record(rec)
-}
-
-// recordTrace converts the tick's Breakdown into a telemetry.TickTrace:
-// one span per task that did work, laid out sequentially in loop order so
-// the spans sum exactly to the breakdown total.
-func (s *Server) recordTrace(start time.Time, br *monitor.Breakdown) {
-	spans := make([]telemetry.Span, 0, len(br.TimeMS))
-	offset := 0.0
-	for _, t := range monitor.Tasks() {
-		dur := br.TimeMS[t]
-		items := br.Items[t]
-		if dur == 0 && items == 0 {
-			continue
-		}
-		spans = append(spans, telemetry.Span{
-			Name:    t.String(),
-			StartMS: offset,
-			DurMS:   dur,
-			Items:   items,
-		})
-		offset += dur
-	}
-	s.cfg.Tracer.Record(telemetry.TickTrace{
-		Tick:           s.tick,
-		StartUnixMicro: start.UnixMicro(),
-		WallMS:         br.WallMS,
-		Spans:          spans,
-	})
+	return rec
 }
 
 // decodeItem is the decode-stage body (executor slot discipline: frame i
@@ -597,10 +581,10 @@ func (s *Server) npcItem(i int, _ *workerCtx) {
 // the one user's publish bookkeeping (prevVis/lastPub/nextKey), so the
 // stage may fan out across workers.
 //
-// Under DeltaUpdates the user gets a StateDelta when its delta chain is
-// intact (published last tick, no periodic keyframe due) and a
-// StateKeyframe otherwise; without DeltaUpdates, the classic full
-// StateUpdate. All three encodings consume only reused scratch.
+// The user gets a StateDelta when its delta chain is intact (published
+// last tick, no keyframe due) and a StateKeyframe otherwise; without
+// DeltaUpdates a keyframe is due every tick. Both encodings consume only
+// reused scratch.
 func (s *Server) publishItem(i int, ctx *workerCtx) {
 	it := &s.pubItems[i]
 	if !it.ok {
@@ -611,22 +595,21 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 	ctx.vis = s.cfg.AOI.Visible(ctx.vis[:0], it.av.ID, it.av.Pos, s.pubWorld)
 	// The visible-set diff below merge-walks sorted sets. Euclid emits in
 	// ID order already; grid managers emit in cell order, so sort. (For
-	// full updates this also fixes the wire order, keeping output
+	// keyframes this also fixes the wire order, keeping output
 	// byte-identical across AoI managers' bucketing choices.)
 	slices.Sort(ctx.vis)
 	it.aoiMS = s.exec.since(t0)
 
 	t1 := s.exec.now()
 	u := it.u
-	deltaOK := s.cfg.DeltaUpdates && u.lastPub == s.tick-1 && u.lastPub != 0 && s.tick < u.nextKey
+	deltaOK := u.lastPub == s.tick-1 && u.lastPub != 0 && s.tick < u.nextKey
 	wantDiff := s.cfg.DeltaUpdates || s.cfg.Cost != nil
 	if wantDiff {
 		ctx.enters, ctx.gone = ctx.enters[:0], ctx.gone[:0]
 		ctx.enters, ctx.gone = aoi.Diff(u.prevVis, ctx.vis, ctx.enters, ctx.gone)
 		it.entered, it.left = len(ctx.enters), len(ctx.gone)
 	}
-	switch {
-	case deltaOK:
+	if deltaOK {
 		// StateDelta: masked field changes for entities that stayed
 		// visible, full records for entrants, IDs for leavers. The
 		// entity-level change masks come from the snapshot diff; an
@@ -655,9 +638,11 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 		upd.Updates = ctx.updates
 		upd.Enters = ctx.ents
 		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
-	case s.cfg.DeltaUpdates:
+	} else {
 		// StateKeyframe: full refresh; the client replaces its world
-		// wholesale, re-anchoring the delta chain.
+		// wholesale, re-anchoring the delta chain. u.seq is the last input
+		// sequence applied for this user; echoing it lets the client close
+		// the input→update response-time loop.
 		upd := &ctx.keyframe
 		upd.Tick, upd.AckSeq, upd.Self, upd.Events = s.tick, u.seq, *it.av, it.events
 		ctx.ents = ctx.ents[:0]
@@ -669,19 +654,6 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 		upd.Visible = ctx.ents
 		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
 		u.nextKey = s.tick + s.keyframeTicks
-	default:
-		// u.seq is the last input sequence applied for this user; echoing
-		// it lets the client close the input→update response-time loop.
-		upd := &ctx.update
-		upd.Tick, upd.AckSeq, upd.Self, upd.Events = s.tick, u.seq, *it.av, it.events
-		ctx.ents = ctx.ents[:0]
-		for _, id := range ctx.vis {
-			if ent, ok := snap.Get(id); ok {
-				ctx.ents = append(ctx.ents, *ent)
-			}
-		}
-		upd.Visible = ctx.ents
-		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
 	}
 	u.prevVis = append(u.prevVis[:0], ctx.vis...)
 	u.lastPub = s.tick

@@ -1,8 +1,9 @@
-// Package zone implements RTF's application-state distribution methods:
-// zoning (disjoint areas processed by distinct servers), instancing
-// (independent copies of a zone) and replication (multiple servers
-// cooperating on one zone, each responsible for a disjoint subset of
-// entities) — the right-hand side of Fig. 1 in the paper.
+// Package zone implements two of RTF's application-state distribution
+// methods: zoning (disjoint areas processed by distinct servers) and
+// replication (multiple servers cooperating on one zone, each responsible
+// for a disjoint subset of entities) — the right-hand side of Fig. 1 in the
+// paper. The third, instancing (independent copies of a zone), is not
+// implemented.
 package zone
 
 import (
@@ -110,23 +111,17 @@ func (w *World) Locate(p entity.Vec2) (*Zone, bool) {
 }
 
 // Assignment tracks which servers process which zone: the replica group of
-// each zone (replication), and independent instance copies (instancing).
-// Assignment is safe for concurrent use — the resource manager mutates it
+// each zone (replication). Assignment is safe for concurrent use — the resource manager mutates it
 // while servers read it.
 type Assignment struct {
 	mu sync.RWMutex
 	// replicas[zone] is the ordered replica group (server IDs).
 	replicas map[ID][]string
-	// instances[zone] is the list of instance session names.
-	instances map[ID][]string
 }
 
 // NewAssignment returns an empty assignment.
 func NewAssignment() *Assignment {
-	return &Assignment{
-		replicas:  make(map[ID][]string),
-		instances: make(map[ID][]string),
-	}
+	return &Assignment{replicas: make(map[ID][]string)}
 }
 
 // AddReplica appends a server to the zone's replica group. It reports
@@ -206,23 +201,6 @@ func (a *Assignment) IsReplica(z ID, serverID string) bool {
 		}
 	}
 	return false
-}
-
-// AddInstance registers a new independent instance session of a zone and
-// returns its instance name.
-func (a *Assignment) AddInstance(z ID) string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	name := fmt.Sprintf("zone%d-inst%d", z, len(a.instances[z])+1)
-	a.instances[z] = append(a.instances[z], name)
-	return name
-}
-
-// Instances returns the zone's instance session names.
-func (a *Assignment) Instances(z ID) []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return append([]string(nil), a.instances[z]...)
 }
 
 // Zones returns every zone that has at least one replica, in ID order.

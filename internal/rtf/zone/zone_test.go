@@ -135,21 +135,6 @@ func TestAssignmentReplicasReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestAssignmentInstances(t *testing.T) {
-	a := NewAssignment()
-	n1 := a.AddInstance(7)
-	n2 := a.AddInstance(7)
-	if n1 == n2 {
-		t.Fatalf("instance names collide: %q", n1)
-	}
-	if got := a.Instances(7); len(got) != 2 {
-		t.Fatalf("Instances = %v", got)
-	}
-	if got := a.Instances(8); len(got) != 0 {
-		t.Fatalf("Instances(8) = %v", got)
-	}
-}
-
 func TestAssignmentZonesSorted(t *testing.T) {
 	a := NewAssignment()
 	a.AddReplica(5, "s")

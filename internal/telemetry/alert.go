@@ -306,13 +306,6 @@ func (e *AlertEngine) Active() []ActiveAlert {
 	return out
 }
 
-// Transitions reports how many state transitions were emitted.
-func (e *AlertEngine) Transitions() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.transitions
-}
-
 // WriteMetrics writes the engine's state in the Prometheus text exposition
 // format.
 //

@@ -108,15 +108,15 @@ func TestCostTrackerOutsideTickNoOps(t *testing.T) {
 
 func TestCostTrackerEgressAccounting(t *testing.T) {
 	c := NewCostTracker()
-	c.ObserveEgress("c1", "state_update", 100)
-	c.ObserveEgress("c1", "state_update", 50)
+	c.ObserveEgress("c1", "state_keyframe", 100)
+	c.ObserveEgress("c1", "state_keyframe", 50)
 	c.ObserveEgress("c2", "join_ack", 30)
 	c.ObserveEgress("", "shadow_update", 500) // server-to-server: type only
 	c.ObserveEgress("c1", "input", 0)         // empty frames are ignored
 
 	snap := c.Snapshot()
-	if got := snap.EgressByType["state_update"]; got != 150 {
-		t.Fatalf("state_update bytes = %d, want 150", got)
+	if got := snap.EgressByType["state_keyframe"]; got != 150 {
+		t.Fatalf("state_keyframe bytes = %d, want 150", got)
 	}
 	if got := snap.EgressByType["shadow_update"]; got != 500 {
 		t.Fatalf("shadow_update bytes = %d, want 500", got)
@@ -185,7 +185,7 @@ func TestCostTrackerWriteMetrics(t *testing.T) {
 	runtime.GC()
 	c.EndStage(CostStagePublish)
 	c.EndTick()
-	c.ObserveEgress("c1", "state_update", 64)
+	c.ObserveEgress("c1", "state_keyframe", 64)
 	c.ObserveChurn(1, 1)
 
 	var b strings.Builder
@@ -203,7 +203,7 @@ func TestCostTrackerWriteMetrics(t *testing.T) {
 		"# TYPE roia_gc_pause_q_ms gauge",
 		`roia_gc_pause_q_ms{zone="1",q="0.99"} `,
 		"# TYPE roia_egress_bytes_total counter",
-		`roia_egress_bytes_total{zone="1",type="state_update"} 64`,
+		`roia_egress_bytes_total{zone="1",type="state_keyframe"} 64`,
 		"# TYPE roia_egress_client_bytes_total counter",
 		`roia_egress_client_bytes_total{zone="1"} 64`,
 		"# TYPE roia_egress_clients gauge",

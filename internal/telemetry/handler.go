@@ -57,11 +57,12 @@ func ReadyHandler(ready func() bool) http.Handler {
 	})
 }
 
-// TraceHandler serves a Tracer's buffered tick traces over HTTP (the
+// TraceHandler serves a Tracer's buffered tick records over HTTP (the
 // /debug/ticktrace endpoint). Query parameters:
 //
 //	n       number of most recent ticks to export (default 100, 0 = all)
 //	format  "chrome" (default; trace_event JSON for Perfetto) or "jsonl"
+//	        (one TickRecord per line)
 func TraceHandler(tr *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n, err := QueryIntParam(r.URL.Query(), "n", 100)
@@ -69,16 +70,16 @@ func TraceHandler(tr *Tracer) http.Handler {
 			http.Error(w, "ticktrace: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		traces := tr.Last(n)
+		recs := tr.Last(n)
 		switch format := r.URL.Query().Get("format"); format {
 		case "", "chrome":
 			w.Header().Set("Content-Type", "application/json")
-			if err := WriteChromeTrace(w, traces); err != nil {
+			if err := WriteChromeTrace(w, recs); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		case "jsonl":
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			if err := WriteTraceJSONL(w, traces); err != nil {
+			if err := WriteTraceJSONL(w, recs); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		default:

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -63,12 +64,55 @@ func TestTraceHandlerJSONL(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("got %d lines, want 3", len(lines))
 	}
-	var tt TickTrace
-	if err := json.Unmarshal([]byte(lines[0]), &tt); err != nil {
+	var rec TickRecord
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if tt.Tick != 3 { // last 3 of 5: ticks 3,4,5
-		t.Fatalf("first exported tick = %d, want 3", tt.Tick)
+	if rec.Tick != 3 { // last 3 of 5: ticks 3,4,5
+		t.Fatalf("first exported tick = %d, want 3", rec.Tick)
+	}
+}
+
+// TestTraceAndFlightRecShareRecordSchema feeds one TickRecord stream to a
+// Tracer and a FlightRecorder and checks that /debug/ticktrace?format=jsonl
+// and /debug/flightrec print the same line for the same tick: both exports
+// are views of the one per-tick record.
+func TestTraceAndFlightRecShareRecordSchema(t *testing.T) {
+	tr := NewTracer(8)
+	fr := NewFlightRecorder(FlightRecConfig{Pre: 2, Post: -1})
+	for i := uint64(1); i <= 3; i++ {
+		rec := sampleTrace(i)
+		rec.CPUMS, rec.QueueDepth, rec.BytesOut, rec.AllocObjects = 0.9, 4, 512, 7
+		if i == 3 {
+			rec.DeadlineMS, rec.SlackMS = 1, -0.2 // WallMS 1.2 misses it
+		}
+		tr.Record(rec)
+		fr.Record(rec)
+	}
+	get := func(h http.Handler, query string) []string {
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		resp, err := srv.Client().Get(srv.URL + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSpace(string(body)), "\n")
+	}
+	trace := get(TraceHandler(tr), "?format=jsonl&n=0")
+	flight := get(FlightRecHandler(fr), "")
+	// The capture is one header line plus the pre window and the trigger.
+	if len(trace) != 3 || len(flight) != 4 {
+		t.Fatalf("got %d trace lines and %d flightrec lines, want 3 and 4", len(trace), len(flight))
+	}
+	for i, line := range trace {
+		if line != flight[i+1] {
+			t.Fatalf("tick %d differs between exports:\nticktrace %s\nflightrec %s", i+1, line, flight[i+1])
+		}
 	}
 }
 

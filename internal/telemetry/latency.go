@@ -130,11 +130,3 @@ func (l *Latency) WriteMetrics(w io.Writer, name, labels string) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// LatencyMetrics adapts a Latency to the MetricsWriter shape under the
-// given family name, for composition into /metrics or /fleet/metrics.
-func LatencyMetrics(name string, l *Latency) MetricsWriter {
-	return func(w io.Writer, labels string) error {
-		return l.WriteMetrics(w, name, labels)
-	}
-}

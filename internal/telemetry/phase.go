@@ -164,10 +164,3 @@ func (p *TaskProfiler) WriteMetrics(w io.Writer, labels string) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// ProfilerMetrics adapts a TaskProfiler to the MetricsWriter shape.
-func ProfilerMetrics(p *TaskProfiler) MetricsWriter {
-	return func(w io.Writer, labels string) error {
-		return p.WriteMetrics(w, labels)
-	}
-}

@@ -19,40 +19,17 @@ type Span struct {
 	Items int `json:"items,omitempty"`
 }
 
-// TickTrace is the span decomposition of one real-time-loop iteration.
-type TickTrace struct {
-	// Tick is the server's tick counter.
-	Tick uint64 `json:"tick"`
-	// StartUnixMicro is the tick's wall-clock start in Unix microseconds
-	// (the trace_event timebase).
-	StartUnixMicro int64 `json:"start_unix_us"`
-	// WallMS is the full wall-clock duration of the tick, which may exceed
-	// the sum of the span durations (untimed bookkeeping).
-	WallMS float64 `json:"wall_ms"`
-	// Spans are the per-task sections, in execution order.
-	Spans []Span `json:"spans"`
-}
-
-// TotalMS returns the sum of the span durations.
-func (t TickTrace) TotalMS() float64 {
-	sum := 0.0
-	for _, s := range t.Spans {
-		sum += s.DurMS
-	}
-	return sum
-}
-
 // DefaultTraceCapacity is the tracer ring size used when a non-positive
 // capacity is requested: ~82 s of history at 25 Hz.
 const DefaultTraceCapacity = 2048
 
-// Tracer records tick traces into a bounded ring buffer. It is safe for
-// concurrent use: the real-time loop records while HTTP handlers read.
-// Recording is cheap — one lock, one slice store — so it can stay enabled
-// in production.
+// Tracer keeps the most recent tick records in a bounded ring buffer. It
+// is safe for concurrent use: the real-time loop records while HTTP
+// handlers read. Recording is cheap — one lock, one slice store — so it can
+// stay enabled in production.
 type Tracer struct {
 	mu    sync.Mutex
-	buf   []TickTrace
+	buf   []TickRecord
 	next  int
 	full  bool
 	total uint64
@@ -64,12 +41,13 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]TickTrace, 0, capacity)}
+	return &Tracer{buf: make([]TickRecord, 0, capacity)}
 }
 
-// Record stores one tick trace, evicting the oldest when full. The tracer
-// takes ownership of tr.Spans.
-func (tr *Tracer) Record(t TickTrace) {
+// Record stores one tick record, evicting the oldest when full. The tracer
+// shares rec.Tasks and never writes through it, so the same record may be
+// handed to a FlightRecorder too.
+func (tr *Tracer) Record(t TickRecord) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	tr.total++
@@ -82,26 +60,26 @@ func (tr *Tracer) Record(t TickTrace) {
 	tr.next = (tr.next + 1) % cap(tr.buf)
 }
 
-// Len reports the number of buffered traces.
+// Len reports the number of buffered records.
 func (tr *Tracer) Len() int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return len(tr.buf)
 }
 
-// Total reports how many traces were ever recorded (including evicted ones).
+// Total reports how many records were ever recorded (including evicted ones).
 func (tr *Tracer) Total() uint64 {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return tr.total
 }
 
-// Last returns up to n of the most recent traces in chronological order
+// Last returns up to n of the most recent records in chronological order
 // (all of them when n is not positive or exceeds the buffer).
-func (tr *Tracer) Last(n int) []TickTrace {
+func (tr *Tracer) Last(n int) []TickRecord {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	ordered := make([]TickTrace, 0, len(tr.buf))
+	ordered := make([]TickRecord, 0, len(tr.buf))
 	if tr.full {
 		ordered = append(ordered, tr.buf[tr.next:]...)
 		ordered = append(ordered, tr.buf[:tr.next]...)
@@ -132,19 +110,24 @@ type chromeTrace struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders the traces as Chrome trace_event JSON. Each tick
-// becomes one enclosing "tick" event on tid 0 plus one event per span on
-// tid 1, positioned on the tick's wall-clock timebase so consecutive ticks
-// lay out as a timeline.
-func WriteChromeTrace(w io.Writer, traces []TickTrace) error {
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]traceEvent, 0, len(traces)*4)}
-	for _, t := range traces {
+// WriteChromeTrace renders tick records as Chrome trace_event JSON. Each
+// tick becomes one enclosing "tick" event on tid 0 (its args carry the sum
+// of the task durations) plus one event per task on tid 1, positioned on
+// the tick's wall-clock timebase so consecutive ticks lay out as a
+// timeline.
+func WriteChromeTrace(w io.Writer, recs []TickRecord) error {
+	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]traceEvent, 0, len(recs)*4)}
+	for _, t := range recs {
 		base := float64(t.StartUnixMicro)
+		tasksMS := 0.0
+		for _, s := range t.Tasks {
+			tasksMS += s.DurMS
+		}
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "tick", Ph: "X", TS: base, Dur: t.WallMS * 1000, PID: 1, TID: 0,
-			Args: map[string]any{"tick": t.Tick, "tasks_ms": t.TotalMS()},
+			Args: map[string]any{"tick": t.Tick, "tasks_ms": tasksMS},
 		})
-		for _, s := range t.Spans {
+		for _, s := range t.Tasks {
 			ev := traceEvent{
 				Name: s.Name, Ph: "X",
 				TS: base + s.StartMS*1000, Dur: s.DurMS * 1000,
@@ -160,11 +143,12 @@ func WriteChromeTrace(w io.Writer, traces []TickTrace) error {
 	return enc.Encode(out)
 }
 
-// WriteTraceJSONL renders the traces as JSONL: one TickTrace object per
-// line, the grep/jq-friendly export.
-func WriteTraceJSONL(w io.Writer, traces []TickTrace) error {
+// WriteTraceJSONL renders tick records as JSONL: one TickRecord object per
+// line (the schema of WriteFlightJSONL's record lines), the grep/jq-friendly
+// export.
+func WriteTraceJSONL(w io.Writer, recs []TickRecord) error {
 	enc := json.NewEncoder(w)
-	for _, t := range traces {
+	for _, t := range recs {
 		if err := enc.Encode(t); err != nil {
 			return fmt.Errorf("telemetry: encode tick %d: %w", t.Tick, err)
 		}

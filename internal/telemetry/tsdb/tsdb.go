@@ -243,22 +243,6 @@ func (st *Store) Query(family string, match map[string]string, since, until floa
 	return res
 }
 
-// Families returns the distinct family names with retained series, sorted.
-func (st *Store) Families() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, sr := range st.series {
-		seen[sr.family] = true
-	}
-	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SeriesCount reports the number of retained series.
 func (st *Store) SeriesCount() int {
 	st.mu.Lock()

@@ -14,9 +14,8 @@ import (
 // spawns, and a set of fact sites (wall-clock reads, global rand, map
 // ranges, blocking operations, output emission, allocations, tickers).
 // Phase two is the GraphAnalyzers: they combine summaries with reachability
-// from the tick entry points (Server.Tick, executor worker closures,
-// wire.Writer producers) to check invariants that no single-package pass
-// can see.
+// from the tick entry points (Server.Tick, executor workers, wire.Writer
+// producers) to check invariants that no single-package pass can see.
 
 // EdgeKind classifies how a caller reaches a callee.
 type EdgeKind uint8
@@ -102,7 +101,7 @@ type FuncNode struct {
 
 	// Reachability roots.
 	TickRoot     bool // method named Tick on a type named Server
-	WorkerRoot   bool // literal passed to (executor).run
+	WorkerRoot   bool // literal passed to (executor).run, or a function of its worker type
 	WireProducer bool // signature mentions a <...>/wire.Writer
 
 	// Direct facts, set while summarizing the body.
@@ -329,6 +328,7 @@ func (b *graphBuilder) addDecl(pkg *Package, f *ast.File, fd *ast.FuncDecl) *Fun
 		if sig, ok := obj.Type().(*types.Signature); ok {
 			n.WireProducer = sigMentionsWireWriter(sig)
 			n.TickRoot = fd.Name.Name == "Tick" && sig.Recv() != nil && isServerType(sig.Recv().Type())
+			n.WorkerRoot = isExecutorWorker(pkg, obj)
 		}
 	}
 	b.g.Nodes = append(b.g.Nodes, n)

@@ -54,6 +54,9 @@ func TestGraphShape(t *testing.T) {
 	if !worker.WorkerRoot {
 		t.Error("worker closure: WorkerRoot = false, want true")
 	}
+	if item := findNode(t, g, "(*Server).item"); !item.WorkerRoot {
+		t.Error("(*Server).item: WorkerRoot = false, want true (worker-typed method value)")
+	}
 	if es := edgesTo(tick, worker); len(es) != 1 || es[0].Kind != EdgeRef {
 		t.Errorf("Tick→worker edges = %+v, want one EdgeRef", es)
 	}
@@ -132,6 +135,8 @@ func TestGraphReachability(t *testing.T) {
 	spawned := findNode(t, g, "spawned")
 	drive := findNode(t, g, "drive")
 	put := findNode(t, g, "(*mem).Put")
+	item := findNode(t, g, "(*Server).item")
+	itemHelper := findNode(t, g, "itemHelper")
 
 	for _, tc := range []struct {
 		n    *FuncNode
@@ -145,6 +150,8 @@ func TestGraphReachability(t *testing.T) {
 		{spawned, false, false, "spawned: spawn edges do not extend reachability"},
 		{drive, false, false, "drive: not reached from any root"},
 		{put, false, false, "(*mem).Put: only reachable via unrooted drive"},
+		{item, true, true, "method-value worker: both scopes' root"},
+		{itemHelper, true, true, "itemHelper: reached from the method-value worker"},
 	} {
 		if got := g.HotPath(tc.n); got != tc.hot {
 			t.Errorf("%s: HotPath = %v, want %v", tc.desc, got, tc.hot)

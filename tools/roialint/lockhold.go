@@ -118,14 +118,14 @@ func funcObj(pkg *Package, fn *ast.FuncDecl) *types.Func {
 	return obj
 }
 
-// checkExecutorWorkers flags any mutex operation inside a closure handed to
-// the tick executor: the tick goroutine holds the server mutex for the
-// whole tick, so a worker locking it deadlocks — and any other lock
-// reintroduces the cross-worker coupling the slot discipline exists to
-// avoid.
+// checkExecutorWorkers flags any mutex operation inside a function the
+// tick executor runs on its workers: the tick goroutine holds the server
+// mutex for the whole tick, so a worker locking it deadlocks — and any
+// other lock reintroduces the cross-worker coupling the slot discipline
+// exists to avoid.
 func (LockHold) checkExecutorWorkers(pkg *Package, f *ast.File, r *Reporter) {
-	for _, lit := range executorWorkerFuncs(pkg, f) {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
+	for _, body := range executorWorkerBodies(pkg, f) {
+		ast.Inspect(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true

@@ -11,6 +11,7 @@
 // wire/output contract), hotpathalloc (allocation debt on the tick path,
 // frozen in a committed baseline), goroutinelife (goroutine join/stop and
 // ticker Stop evidence), plus the graph-rebased tickclock and lockhold.
+// orphanpkg reports internal packages that no production code imports.
 //
 // Usage:
 //
@@ -54,6 +55,7 @@ func defaultAnalyzers(baseline string) []Analyzer {
 		Determinism{},
 		HotPathAlloc{BaselinePath: baseline},
 		GoroutineLife{},
+		OrphanPkg{},
 	}
 }
 

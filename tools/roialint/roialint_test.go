@@ -21,6 +21,7 @@ func TestGolden(t *testing.T) {
 	}
 	cases := []struct {
 		dir            string
+		extra          []string // further fixture packages loaded alongside dir
 		analyzers      []Analyzer
 		wantSuppressed int
 	}{
@@ -37,20 +38,27 @@ func TestGolden(t *testing.T) {
 		// round-tripping is covered by TestHotPathBaselineRoundTrip.
 		{dir: "hotpathalloc", analyzers: []Analyzer{HotPathAlloc{}}},
 		{dir: "goroutinelife", analyzers: []Analyzer{GoroutineLife{}}},
+		{dir: "orphanpkg", extra: []string{"orphanpkg/internal/used", "orphanpkg/internal/orphan", "orphanpkg/internal/testonly"},
+			analyzers: []Analyzer{OrphanPkg{}}},
 		{dir: "suppress", analyzers: []Analyzer{TickClock{}}, wantSuppressed: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
-			pkg, err := loader.LoadDir(filepath.Join("testdata", tc.dir), "fixture/"+tc.dir)
-			if err != nil {
-				t.Fatalf("load fixture: %v", err)
+			var pkgs []*Package
+			for _, dir := range append([]string{tc.dir}, tc.extra...) {
+				pkg, err := loader.LoadDir(filepath.Join("testdata", dir), "fixture/"+dir)
+				if err != nil {
+					t.Fatalf("load fixture: %v", err)
+				}
+				pkgs = append(pkgs, pkg)
 			}
+			pkg := pkgs[0]
 			r := NewReporter(loader.Fset, loader.Root)
 			r.ScanSuppressions(pkg)
 			var g *Graph
 			for _, a := range tc.analyzers {
 				if _, ok := a.(GraphAnalyzer); ok && g == nil {
-					g = BuildGraph(loader, []*Package{pkg}, nil)
+					g = BuildGraph(loader, pkgs, nil)
 				}
 			}
 			for _, a := range tc.analyzers {

@@ -9,22 +9,42 @@ import (
 	"time"
 )
 
+// workerCtx is the per-worker scratch; its pointer in the worker type
+// keeps unrelated func(int) methods (mem.Put below) from matching it.
+type workerCtx struct{}
+
 type executor struct{}
 
-func (e *executor) run(n int, fn func(i int)) {
+func (e *executor) run(n int, fn func(i int, ctx *workerCtx)) {
 	for i := 0; i < n; i++ {
-		fn(i)
+		fn(i, &workerCtx{})
 	}
 }
 
 // Server.Tick is the hot-path root.
-type Server struct{ e *executor }
+type Server struct {
+	e      *executor
+	itemFn func(i int, ctx *workerCtx)
+}
 
 func (s *Server) Tick() {
-	s.e.run(2, func(i int) {
+	s.e.run(2, func(i int, ctx *workerCtx) {
 		helper()
 	})
+	s.e.run(2, s.itemFn)
 	go spawned()
+}
+
+// item is a worker root by its type: New binds it as a method value, so
+// run never sees a literal.
+func (s *Server) item(i int, ctx *workerCtx) { itemHelper() }
+
+func itemHelper() {}
+
+func New() *Server {
+	s := &Server{e: &executor{}}
+	s.itemFn = s.item
+	return s
 }
 
 func helper() { time.Sleep(time.Millisecond) }

@@ -30,3 +30,18 @@ func (s *tickSrv) tick(e *executor) {
 		s.sum -= i // slot-owned state, no locking: fine
 	})
 }
+
+// add has the worker type: tick binds it as a method value and hands it
+// to run, so it executes on the workers like the literals above.
+func (s *tickSrv) add(i int) {
+	s.mu.Lock() // flagged
+	s.sum += i
+	s.mu.Unlock() // flagged
+}
+
+func (s *tickSrv) tickBound(e *executor) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn := s.add
+	e.run(8, fn)
+}

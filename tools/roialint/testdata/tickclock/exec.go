@@ -36,3 +36,22 @@ func transitiveWorkerUse() {
 		_ = workerHelper()
 	})
 }
+
+// stage binds its body as a method value: item has the worker type, so it
+// runs on worker goroutines although run never sees a literal.
+type stage struct {
+	e  *executor
+	fn func(i int)
+}
+
+func newStage() *stage {
+	s := &stage{e: &executor{clock: time.Now}}
+	s.fn = s.item
+	return s
+}
+
+func (s *stage) step() { s.e.run(4, s.fn) }
+
+func (s *stage) item(i int) {
+	_ = time.Now() // flagged: a method-value worker
+}
